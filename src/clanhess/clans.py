@@ -287,9 +287,20 @@ def statistics(clan: Clan) -> ClanStatistics:
     )
 
 
-def _statistics_leq(sa: ClanStatistics, sb: ClanStatistics) -> bool:
-    """Inclusion comparison on precomputed statistics; see inclusion_leq."""
-    n = len(sa.plus_counts)
+def inclusion_leq(a: Clan, b: Clan) -> bool:
+    """Orbit-closure containment order: O_a lies in the closure of O_b.
+
+    a <= b iff a's sign statistics dominate b's at every position and a's
+    pair statistics are dominated by b's at every i < j.  This pairwise
+    test is the reference for the bitmask engine in ``poset``.
+    """
+    if (a.p, a.q) != (b.p, b.q):
+        raise ValueError(
+            f"shape mismatch: ({a.p},{a.q}) vs ({b.p},{b.q}); "
+            "inclusion compares clans of equal signature"
+        )
+    sa, sb = statistics(a), statistics(b)
+    n = a.n
     for i in range(n):
         if sa.plus_counts[i] < sb.plus_counts[i]:
             return False
@@ -301,20 +312,6 @@ def _statistics_leq(sa: ClanStatistics, sb: ClanStatistics) -> bool:
             if row_a[j] > row_b[j]:
                 return False
     return True
-
-
-def inclusion_leq(a: Clan, b: Clan) -> bool:
-    """Orbit-closure containment order: O_a lies in the closure of O_b.
-
-    a <= b iff a's sign statistics dominate b's at every position and a's
-    pair statistics are dominated by b's at every i < j.
-    """
-    if (a.p, a.q) != (b.p, b.q):
-        raise ValueError(
-            f"shape mismatch: ({a.p},{a.q}) vs ({b.p},{b.q}); "
-            "inclusion compares clans of equal signature"
-        )
-    return _statistics_leq(statistics(a), statistics(b))
 
 
 def clan_length(clan: Clan) -> int:

@@ -30,10 +30,9 @@ length then one-line notation) so output is diffable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import verify as verify_mod
 from .clans import (
@@ -48,14 +47,7 @@ from .clans import (
     render_clan,
     statistics,
 )
-from .hessenberg import (
-    area,
-    classify_irreducibles,
-    hess_dimension,
-    hess_orbit_report,
-    is_hessenberg_vector,
-    m_of_w,
-)
+from .hessenberg import area, classify_irreducibles, hess_dimension, hess_orbit_report, m_of_w
 from .perms import (
     Permutation,
     factorization_pairs,
@@ -64,6 +56,7 @@ from .perms import (
     render_permutation,
     render_word,
 )
+from .poset import InclusionPoset, inclusion_poset
 from .schubert import SchubertExpansion, brion_class, monk_product
 from .weak_order import build_graph, graph_to_dot, graph_to_json, w_set, w_set_via_bijection
 
@@ -153,42 +146,15 @@ def _cmd_clans(args) -> tuple[int, list[str]]:
     return 0, lines
 
 
-def _inclusion_hasse(nodes: list[Clan]) -> list[tuple[Clan, Clan]]:
-    from .clans import inclusion_leq
-
-    size = len(nodes)
-    up = [0] * size
-    for i, a in enumerate(nodes):
-        for j, b in enumerate(nodes):
-            if inclusion_leq(a, b):
-                up[i] |= 1 << j
-    down = [0] * size
-    for i in range(size):
-        for j in range(size):
-            if (up[j] >> i) & 1:
-                down[i] |= 1 << j
-    covers = []
-    for i in range(size):
-        rest = up[i] & ~(1 << i)
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if up[i] & down[j] == (1 << i) | (1 << j):
-                covers.append((nodes[i], nodes[j]))
-    return covers
-
-
 def _cmd_poset(args) -> tuple[int, list[str]]:
     p, q = _validated_shape(args)
     if args.order == "weak":
         graph = build_graph(p, q, interval_only=args.interval)
         text = graph_to_dot(graph) if args.format == "dot" else graph_to_json(graph)
         return 0, [text]
-    nodes = sorted(
-        interval_clans(p, q) if args.interval else enumerate_clans(p, q),
-        key=clan_sort_key,
-    )
-    covers = _inclusion_hasse(nodes)
+    poset = InclusionPoset(interval_clans(p, q)) if args.interval else inclusion_poset(p, q)
+    nodes = poset.clans
+    covers = [(nodes[i], nodes[j]) for i, j in poset.covers()]
     if args.format == "json":
         payload = {
             "p": p,
@@ -278,8 +244,6 @@ def _cmd_hess(args) -> tuple[int, list[str]]:
     if args.hess_command == "report":
         p, q = _validated_shape(args)
         m = _parse_vector(args.m)
-        if not is_hessenberg_vector(m, p + q):
-            raise ValueError(f"{m} is not a Hessenberg vector for n={p + q}")
         rep = hess_orbit_report(p, q, m)
         if args.format == "json":
             return 0, [json.dumps(rep.to_json())]
@@ -359,26 +323,18 @@ _VERIFY_TARGETS = {
 
 
 def _cmd_verify(args) -> tuple[int, list[str]]:
-    max_n = args.max_n
-    seed = args.seed
-
-    def run(name: str) -> verify_mod.CheckResult:
-        if name == "irreducible-classification":
-            return verify_mod.irreducibility_checks(max_total=max_n)
-        if name == "geometric-oracle":
-            # rank scans above total 6 are out of the supported envelope
-            return verify_mod.oracle_checks(max_total=min(max_n, 6), seed=seed)
-        table = dict(verify_mod.CRITERIA)
-        return table[name]()
-
+    checks = dict(verify_mod.CRITERIA)
+    # without --max-n, each exhaustive scan keeps its own default limit
+    limit = {} if args.max_n is None else {"max_total": args.max_n}
+    checks["irreducible-classification"] = functools.partial(
+        verify_mod.irreducibility_checks, **limit
+    )
+    checks["geometric-oracle"] = functools.partial(
+        verify_mod.oracle_checks, seed=args.seed, **limit
+    )
     names = [name for name, _ in verify_mod.CRITERIA]
     selected = names if args.target == "all" else list(_VERIFY_TARGETS[args.target])
-    workers = int(os.environ.get("CLANHESS_THREADS", "1"))
-    if workers > 1 and len(selected) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, selected))
-    else:
-        results = [run(name) for name in selected]
+    results = [checks[name]() for name in selected]
     lines = [
         verify_mod.format_result(res, names.index(name) + 1)
         for name, res in zip(selected, results)
@@ -454,7 +410,13 @@ def _build_parser() -> _Parser:
 
     ver = sub.add_parser("verify", help="run verification criteria")
     ver.add_argument("target", choices=("all", "oracle", "wsets", "monk", "irreducible"))
-    ver.add_argument("--max-n", type=int, default=7, help="largest p + q for exhaustive scans")
+    ver.add_argument(
+        "--max-n",
+        type=int,
+        default=None,
+        help="largest p + q for exhaustive scans (default: 7 for the classification, "
+        "6 for the geometric oracle, which never scans past 6)",
+    )
     ver.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
     ver.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
     return parser

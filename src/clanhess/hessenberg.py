@@ -13,22 +13,12 @@ permutations w in S_q.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .clans import (
-    Clan,
-    _statistics_leq,
-    as_interval_permutation,
-    clan_to_json,
-    enumerate_clans,
-    gamma_w,
-    orbit_dimension,
-    statistics,
-)
+from .clans import Clan, as_interval_permutation, clan_to_json, gamma_w
 from .perms import Permutation, avoids, render_permutation, symmetric_group
+from .poset import inclusion_poset, members
 
 __all__ = [
     "is_hessenberg_vector",
@@ -103,6 +93,9 @@ def orbit_in_hess(clan: Clan, m) -> bool:
     """Whether the orbit closure of the clan lies in the Hessenberg variety:
     every pair (i, j) of the clan must satisfy m_i >= j.
 
+    This tests one clan; ``InclusionPoset.contained`` answers for every
+    clan of a shape at once and is tested against it.
+
     >>> from .clans import parse_clan
     >>> orbit_in_hess(parse_clan("+1+-2+21"), (1, 8, 8, 8, 8, 8, 8, 8))
     True
@@ -113,30 +106,6 @@ def orbit_in_hess(clan: Clan, m) -> bool:
     if not is_hessenberg_vector(m, clan.n):
         raise ValueError(f"not a Hessenberg vector of length {clan.n}: {m!r}")
     return all(m[i - 1] >= j for (i, j) in clan.arcs)
-
-
-@lru_cache(maxsize=None)
-def _inclusion_poset(p: int, q: int):
-    """All (p,q)-clans with the full inclusion order as bitmasks.
-
-    Returns (clans, index, up, down): up[i] has bit j set iff
-    clans[i] <= clans[j], down is the transpose; both include the diagonal.
-    """
-    clans = enumerate_clans(p, q)
-    index = {c: i for i, c in enumerate(clans)}
-    stats = [statistics(c) for c in clans]
-    dims = [orbit_dimension(c) for c in clans]
-    size = len(clans)
-    up = [1 << i for i in range(size)]
-    down = [1 << i for i in range(size)]
-    for i in range(size):
-        for j in range(size):
-            # inclusion is strictly dimension-increasing off the diagonal
-            if dims[i] >= dims[j] or not _statistics_leq(stats[i], stats[j]):
-                continue
-            up[i] |= 1 << j
-            down[j] |= 1 << i
-    return clans, index, tuple(up), tuple(down)
 
 
 @dataclass(frozen=True)
@@ -167,21 +136,24 @@ class HessOrbitReport:
 
 def hess_orbit_report(p: int, q: int, m) -> HessOrbitReport:
     """Which orbit closures fill the Hessenberg variety of m, its maximal
-    ones, and the interval permutation of the unique component if any."""
+    ones, and the interval permutation of the unique component if any.
+
+    Raises ValueError if m is not a Hessenberg vector of length p + q.
+    """
     m = tuple(m)
-    clans, _, up, _ = _inclusion_poset(p, q)
-    contained_idx = [i for i, c in enumerate(clans) if orbit_in_hess(c, m)]
-    mask = 0
-    for i in contained_idx:
-        mask |= 1 << i
-    maximal = tuple(clans[i] for i in contained_idx if up[i] & mask == 1 << i)
+    if not is_hessenberg_vector(m, p + q):
+        raise ValueError(f"not a Hessenberg vector of length {p + q}: {m!r}")
+    poset = inclusion_poset(p, q)
+    clans = poset.clans
+    mask = poset.contained(m)
+    maximal = tuple(map(clans.__getitem__, poset.maximal(mask)))
     irreducible = len(maximal) == 1
     witness = as_interval_permutation(maximal[0]) if irreducible else None
     return HessOrbitReport(
         p,
         q,
         m,
-        tuple(clans[i] for i in contained_idx),
+        tuple(map(clans.__getitem__, members(mask))),
         maximal,
         irreducible,
         witness,
@@ -243,14 +215,9 @@ def classify_irreducibles(p: int, q: int) -> dict[Permutation, tuple[int, ...]]:
 def lower_ideal_check(w: Permutation, p: int) -> bool:
     """Whether the clans contained in the variety of m(w) are exactly the
     clans below gamma_w in inclusion order."""
-    q = w.degree
-    clans, index, _, down = _inclusion_poset(p, q)
     m = m_of_w(w, p)
-    mask = 0
-    for i, c in enumerate(clans):
-        if orbit_in_hess(c, m):
-            mask |= 1 << i
-    return mask == down[index[gamma_w(w, p)]]
+    poset = inclusion_poset(p, w.degree)
+    return poset.contained(m) == poset.down[poset.index[gamma_w(w, p)]]
 
 
 def catalan(n: int) -> int:

@@ -158,6 +158,18 @@ def test_verify_subset_passes(capsys):
     assert len(lines) == 1 and lines[0].startswith("PASS criterion 5")
 
 
+def test_verify_oracle_reports_the_clamp(capsys, monkeypatch):
+    # the wording is under test, not the rank oracle: stub its slow parts
+    monkeypatch.setattr(verify, "geometric_membership", verify.orbit_in_hess)
+    monkeypatch.setattr(verify, "k_invariance_spotcheck", lambda *args, **kwargs: True)
+    status, lines = run(capsys, "verify", "oracle", "--max-n", "7")
+    assert status == 0
+    assert "agreements across p + q <= 6 (p + q <= 7 requested, clamped to 6)," in lines[0]
+    status, lines = run(capsys, "verify", "oracle")
+    assert status == 0
+    assert "agreements across p + q <= 6, " in lines[0] and "clamped" not in lines[0]
+
+
 def test_verify_failure_exits_2(capsys, monkeypatch):
     def failing():
         return verify.CheckResult("w-set-bijection", False, "forced failure", 0.0)

@@ -1,0 +1,97 @@
+"""The bitmask inclusion-poset engine against the pairwise oracles."""
+
+import functools
+import random
+
+import pytest
+
+from clanhess import clans as clans_mod
+from clanhess.clans import enumerate_clans, inclusion_leq, interval_clans
+from clanhess.hessenberg import hess_orbit_report, hessenberg_vectors, orbit_in_hess
+from clanhess.poset import InclusionPoset, inclusion_poset, members
+
+SHAPES_UP_TO_6 = [(n - q, q) for n in range(2, 7) for q in range(1, n // 2 + 1)]
+
+
+@pytest.fixture
+def cached_statistics(monkeypatch):
+    """inclusion_leq recomputes both statistics on every call; memoize them
+    so that all-pairs comparisons stay fast.  The comparison is unchanged."""
+    monkeypatch.setattr(clans_mod, "statistics", functools.cache(clans_mod.statistics))
+
+
+def _inclusion_hasse(nodes):
+    """The transitive reduction of inclusion_leq on nodes, pair by pair."""
+    size = len(nodes)
+    up = [0] * size
+    for i, a in enumerate(nodes):
+        for j, b in enumerate(nodes):
+            if inclusion_leq(a, b):
+                up[i] |= 1 << j
+    down = [0] * size
+    for i in range(size):
+        for j in range(size):
+            if (up[j] >> i) & 1:
+                down[i] |= 1 << j
+    covers = []
+    for i in range(size):
+        rest = up[i] & ~(1 << i)
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            if up[i] & down[j] == (1 << i) | (1 << j):
+                covers.append((nodes[i], nodes[j]))
+    return covers
+
+
+def test_members():
+    assert members(0) == []
+    assert members(1) == [0]
+    assert members((1 << 70) | 0b101) == [0, 2, 70]
+
+
+@pytest.mark.parametrize("p,q", SHAPES_UP_TO_6)
+def test_up_and_down_agree_with_inclusion_leq(p, q, cached_statistics):
+    poset = inclusion_poset(p, q)
+    assert poset.clans == enumerate_clans(p, q)
+    for i, a in enumerate(poset.clans):
+        assert poset.index[a] == i
+        want = sum(1 << j for j, b in enumerate(poset.clans) if inclusion_leq(a, b))
+        assert poset.up[i] == want
+        assert poset.down[i] == sum(1 << j for j, row in enumerate(poset.up) if (row >> i) & 1)
+
+
+@pytest.mark.parametrize("p,q", SHAPES_UP_TO_6)
+def test_contained_agrees_with_orbit_in_hess(p, q):
+    poset = inclusion_poset(p, q)
+    for m in hessenberg_vectors(p + q):
+        want = [i for i, c in enumerate(poset.clans) if orbit_in_hess(c, m)]
+        assert members(poset.contained(m)) == want
+
+
+@pytest.mark.parametrize("p,q", [(3, 2), (3, 3), (4, 3)])
+def test_maximal_matches_its_definition(p, q):
+    poset = inclusion_poset(p, q)
+    rng = random.Random(p * 10 + q)
+    masks = [poset.contained(m) for m in hessenberg_vectors(p + q)]
+    masks += [rng.getrandbits(len(poset.clans)) for _ in range(50)]
+    for mask in masks:
+        want = [i for i in members(mask) if poset.up[i] & mask == 1 << i]
+        assert poset.maximal(mask) == want
+
+
+@pytest.mark.parametrize(
+    "p,q,interval",
+    [(3, 3, False), (3, 3, True), (4, 3, False), (4, 3, True), (2, 1, True)],
+)
+def test_covers_match_transitive_reduction(p, q, interval, cached_statistics):
+    nodes = interval_clans(p, q) if interval else enumerate_clans(p, q)
+    poset = InclusionPoset(nodes) if interval else inclusion_poset(p, q)
+    got = [(poset.clans[i], poset.clans[j]) for i, j in poset.covers()]
+    assert got == _inclusion_hasse(list(nodes))
+
+
+@pytest.mark.parametrize("m", [(1, 2, 3, 9), (2, 1, 4, 4), (4, 4, 4), (1, 2, 3, 4, 5)])
+def test_hess_orbit_report_rejects_non_hessenberg_vectors(m):
+    with pytest.raises(ValueError, match="not a Hessenberg vector of length 4"):
+        hess_orbit_report(2, 2, m)
