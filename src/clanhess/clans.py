@@ -25,7 +25,6 @@ __all__ = [
     "MINUS",
     "Clan",
     "ClanStatistics",
-    "ChargedMatching",
     "parse_clan",
     "render_clan",
     "enumerate_clans",
@@ -43,8 +42,6 @@ __all__ = [
     "gamma_w_pair_statistic",
     "clan_to_json",
     "clan_from_json",
-    "matching_to_json",
-    "matching_from_json",
 ]
 
 PLUS = "+"
@@ -120,9 +117,6 @@ class Clan:
             (pos, c) for pos, c in enumerate(self.symbols, 1) if not isinstance(c, int)
         )
 
-    def to_matching(self) -> "ChargedMatching":
-        return ChargedMatching(self.n, frozenset(self.arcs), dict(self.charges))
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Clan) and self.symbols == other.symbols
 
@@ -148,26 +142,6 @@ class ClanStatistics:
     plus_counts: tuple[int, ...]
     minus_counts: tuple[int, ...]
     pair_matrix: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class ChargedMatching:
-    """Partial matching view of a clan: arcs between paired positions plus
-    charges on the unmatched ones.  Positions are 1-indexed."""
-
-    n: int
-    arcs: frozenset[tuple[int, int]]
-    charges: dict[int, str]
-
-    def to_clan(self) -> Clan:
-        symbols: list = [None] * self.n
-        for pos, sign in self.charges.items():
-            symbols[pos - 1] = sign
-        for label, (i, j) in enumerate(sorted(self.arcs), 1):
-            symbols[i - 1] = symbols[j - 1] = label
-        if any(c is None for c in symbols):
-            raise ValueError("matching does not cover all positions")
-        return Clan(symbols)
 
 
 def parse_clan(text: str, p: int | None = None, q: int | None = None) -> Clan:
@@ -417,22 +391,6 @@ def clan_from_json(data: dict | str) -> Clan:
             f"symbols with ({clan.p},{clan.q})"
         )
     return clan
-
-
-def matching_to_json(m: ChargedMatching) -> dict:
-    return {
-        "n": m.n,
-        "arcs": [list(arc) for arc in sorted(m.arcs)],
-        "charges": {str(pos): sign for pos, sign in sorted(m.charges.items())},
-    }
-
-
-def matching_from_json(data: dict | str) -> ChargedMatching:
-    if isinstance(data, str):
-        data = json.loads(data)
-    arcs = frozenset((int(i), int(j)) for i, j in data["arcs"])
-    charges = {int(pos): sign for pos, sign in data["charges"].items()}
-    return ChargedMatching(int(data["n"]), arcs, charges)
 
 
 if __name__ == "__main__":

@@ -11,10 +11,11 @@ fixed), so equality and hashing ignore trailing fixed points.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "Permutation",
+    "trim_fixed_points",
     "symmetric_group",
     "avoids",
     "phi",
@@ -28,7 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Permutation:
     """A permutation of [n] in one-line notation.
 
@@ -44,12 +45,16 @@ class Permutation:
     """
 
     images: tuple[int, ...]
+    # one-line notation with trailing fixed points removed, set once by
+    # __post_init__; equality and hashing read it
+    key: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        images = tuple(int(v) for v in self.images)
+        images = tuple(map(int, self.images))
         object.__setattr__(self, "images", images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..n: {images!r}")
+        object.__setattr__(self, "key", trim_fixed_points(images))
 
     # -- construction -------------------------------------------------------
 
@@ -113,15 +118,6 @@ class Permutation:
 
     # -- identification across degrees --------------------------------------
 
-    @property
-    def key(self) -> tuple[int, ...]:
-        """One-line notation with trailing fixed points removed."""
-        images = self.images
-        n = len(images)
-        while n and images[n - 1] == n:
-            n -= 1
-        return images[:n]
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.key == other.key
 
@@ -133,7 +129,7 @@ class Permutation:
         return len(self.images)
 
     def trimmed(self) -> "Permutation":
-        return Permutation(self.key)
+        return self if len(self.key) == len(self.images) else Permutation(self.key)
 
     def embedded(self, n: int) -> "Permutation":
         """The same permutation regarded as an element of S_n."""
@@ -227,6 +223,19 @@ class Permutation:
     def support(self) -> frozenset[int]:
         """Letters appearing in any (equivalently, every) reduced word."""
         return frozenset(self.reduced_word())
+
+
+def trim_fixed_points(images) -> tuple[int, ...]:
+    """One-line notation with the trailing fixed points removed, the form
+    in which equal permutations of different degrees coincide.
+
+    >>> trim_fixed_points([2, 1, 3, 4])
+    (2, 1)
+    """
+    end = len(images)
+    while end and images[end - 1] == end:
+        end -= 1
+    return tuple(images[:end])
 
 
 def symmetric_group(n: int):

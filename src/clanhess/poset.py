@@ -27,7 +27,7 @@ from functools import lru_cache, reduce
 from itertools import compress
 from operator import and_
 
-from .clans import Clan, enumerate_clans, statistics
+from .clans import MINUS, PLUS, Clan, enumerate_clans
 
 __all__ = ["InclusionPoset", "inclusion_poset", "members"]
 
@@ -62,6 +62,49 @@ def _below(masks: list[list[int]], x, full: int) -> int:
     return reduce(and_, map(list.__getitem__, masks, x), full)
 
 
+def _key_and_ends(clan: Clan) -> tuple[tuple[int, ...], list[int]]:
+    """The key and the arc ends r of a clan (see the module docstring),
+    read straight off its symbols; ``clans.statistics`` is the reference.
+
+    >>> _key_and_ends(Clan("1+-1"))
+    ((0, 1, 1, 2, 0, 0, 1, 2, 1, 1, 2, 1, 2, 2), [4, 0, 0, 0])
+    """
+    n, q = clan.n, clan.q
+    ends = [0] * n
+    start: dict[int, int] = {}
+    plus_counts = []
+    minus_counts = []
+    pluses = minuses = 0
+    for pos, c in enumerate(clan.symbols, 1):
+        if c == PLUS:
+            pluses += 1
+        elif c == MINUS:
+            minuses += 1
+        elif c in start:
+            ends[start[c] - 1] = pos
+            # a completed pair counts as both a plus and a minus
+            pluses += 1
+            minuses += 1
+        else:
+            start[c] = pos
+        plus_counts.append(pluses)
+        minus_counts.append(minuses)
+    # pairs[i][j] = q - #{arcs (s, t) : s <= i < j < t}: walk i left to
+    # right keeping the open ends t > i, then drop them as j passes them
+    pairs = []
+    open_ends: set[int] = set()
+    for i in range(1, n):
+        t = ends[i - 1]
+        if t:
+            open_ends.add(t)
+        open_ends.discard(i)
+        inside = len(open_ends)
+        for j in range(i + 1, n + 1):
+            inside -= j in open_ends
+            pairs.append(q - inside)
+    return tuple(plus_counts) + tuple(minus_counts) + tuple(pairs), ends
+
+
 class InclusionPoset:
     """The inclusion order restricted to a family of clans of one shape.
 
@@ -85,12 +128,8 @@ class InclusionPoset:
         keys = []
         ends = []
         for c in self.clans:
-            st = statistics(c)
-            pairs = (c.q - row[j] for i, row in enumerate(st.pair_matrix) for j in range(i + 1, n))
-            keys.append(st.plus_counts + st.minus_counts + tuple(pairs))
-            r = [0] * n
-            for i, j in c.arcs:
-                r[i - 1] = j
+            key, r = _key_and_ends(c)
+            keys.append(key)
             ends.append(r)
         # a constant coordinate gives an all-ones mask at every query
         columns = [col for col in zip(*keys) if min(col) != max(col)]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .clans import Clan
-from .perms import Permutation, render_permutation
+from .perms import Permutation, render_permutation, trim_fixed_points
 
 __all__ = [
     "IntPolynomial",
@@ -238,7 +238,8 @@ class SchubertExpansion:
         clean: dict[Permutation, int] = {}
         for w, coeff in (coeffs or {}).items():
             if coeff:
-                clean[w.trimmed()] = clean.get(w.trimmed(), 0) + coeff
+                w = w.trimmed()
+                clean[w] = clean.get(w, 0) + coeff
         self.coeffs = {w: c for w, c in clean.items() if c}
 
     def items(self) -> list[tuple[Permutation, int]]:
@@ -331,23 +332,30 @@ def monk_product(m: int, expansion: SchubertExpansion, n: int | None = None) -> 
         raise ValueError(f"Monk factor must be S_{{s_m}} with m >= 1: {m}")
     if n is not None and m > n - 1:
         raise ValueError(f"s_{m} does not lie in S_{n}")
-    out: dict[Permutation, int] = {}
+    out: dict[tuple[int, ...], int] = {}  # trimmed one-line notation -> coeff
     for u, coeff in expansion.coeffs.items():
         if n is not None and len(u.key) > n:
             raise ValueError(
                 f"term {render_permutation(u)} does not lie in S_{n}"
             )
         top = n if n is not None else max(u.degree, m) + 1
-        u = u.embedded(top)
-        for j in range(1, m + 1):
-            for k in range(m + 1, top + 1):
-                if u(j) > u(k):
-                    continue
-                if any(u(j) < u(i) < u(k) for i in range(j + 1, k)):
-                    continue
-                move = u * Permutation.transposition(j, k, top)
-                out[move] = out.get(move, 0) + coeff
-    return SchubertExpansion(out)
+        images = u.key + tuple(range(len(u.key) + 1, top + 1))
+        # 0-indexed positions j <= m - 1 < k; u * t_{j+1,k+1} swaps the two
+        # entries and is a term when u(j) < u(k) with no entry between them
+        # in value at a position between them
+        for j in range(m):
+            low = images[j]
+            high = top + 1  # the least entry above low seen right of j
+            for k in range(j + 1, top):
+                v = images[k]
+                if low < v < high:
+                    high = v
+                    if k >= m:
+                        move = list(images)
+                        move[j], move[k] = v, low
+                        key = trim_fixed_points(move)
+                        out[key] = out.get(key, 0) + coeff
+    return SchubertExpansion({Permutation(w): c for w, c in out.items()})
 
 
 def product_oracle(m: int, expansion: SchubertExpansion) -> SchubertExpansion:

@@ -33,7 +33,7 @@ from .clans import (
     interval_clans,
     render_clan,
 )
-from .perms import Permutation, symmetric_group
+from .perms import Permutation, symmetric_group, trim_fixed_points
 
 __all__ = [
     "LabeledCover",
@@ -65,77 +65,76 @@ class LabeledCover:
     move_types: tuple[str, ...]
 
 
-def _move_at(partner: dict[int, int], charge: dict[int, str], i: int):
-    """Apply the unique move at positions (i, i+1) if one exists.
+def _moves(symbols: tuple):
+    """Yield (target, i, move_type) for every move at positions (i, i+1).
 
-    Returns (new_arcs, new_charges, move_type) or None.  partner maps each
-    matched position to its mate; charge maps signed positions to +/-.
+    symbols is a canonical clan symbol tuple and so is each target.  The
+    work runs on the mate array: mate[a] is the 0-indexed partner of a
+    paired position and -1 at a sign.  Every move but II and IC1 swaps the
+    symbols at i and i+1 and keeps first occurrences in order; IC1 swaps
+    the far ends instead; II inserts a new label at i.
     """
-    a, b = i, i + 1
-    arcs = {tuple(sorted((x, y))) for x, y in partner.items() if x < y}
-
-    def rebuilt(drop, add, charge_updates):
-        new_arcs = (arcs - set(drop)) | set(add)
-        new_charge = {pos: sgn for pos, sgn in charge.items() if pos not in (a, b)}
-        new_charge.update(charge_updates)
-        return new_arcs, new_charge
-
-    if a in charge and b in charge:
-        if charge[a] != charge[b]:
-            return rebuilt((), [(a, b)], {}) + ("II",)
-        return None
-    if a in partner and b in charge:
-        j = partner[a]
-        if j < a:
-            return rebuilt([(j, a)], [(j, b)], {a: charge[b]}) + ("IA1",)
-        return None
-    if a in charge and b in partner:
-        k = partner[b]
-        if k > b:
-            return rebuilt([(b, k)], [(a, k)], {b: charge[a]}) + ("IA2",)
-        return None
-    if a in partner and b in partner and partner[a] != b:
-        j, k = partner[a], partner[b]
-        if j < a and k > b:
-            return rebuilt([(j, a), (b, k)], [(j, b), (a, k)], {}) + ("IB",)
-        if j > b and k > b and j < k:
-            return rebuilt([(a, j), (b, k)], [(a, k), (b, j)], {}) + ("IC1",)
-        if j < a and k < a and j < k:
-            return rebuilt([(j, a), (k, b)], [(k, a), (j, b)], {}) + ("IC2",)
-        return None
-    return None
+    n = len(symbols)
+    mate = [-1] * n
+    first: dict[int, int] = {}
+    for pos, c in enumerate(symbols):
+        if isinstance(c, int):
+            if c in first:
+                j = first[c]
+                mate[j], mate[pos] = pos, j
+            else:
+                first[c] = pos
+    for a in range(n - 1):
+        b = a + 1
+        j, k = mate[a], mate[b]
+        if j < 0 and k < 0:  # two signs
+            if symbols[a] == symbols[b]:
+                continue
+            # canonical labels: the ones first seen before a are 1..label-1
+            label = max((c for c in symbols[:a] if isinstance(c, int)), default=0) + 1
+            out = [c + 1 if isinstance(c, int) and c >= label else c for c in symbols]
+            out[a] = out[b] = label
+            yield tuple(out), b, "II"
+            continue
+        if j < 0:  # a sign, then an arc end at b
+            if k < b:
+                continue
+            move = "IA2"
+        elif k < 0:  # an arc end at a, then a sign
+            if j > a:
+                continue
+            move = "IA1"
+        elif j < a < b < k:
+            move = "IB"
+        elif j < k < a:
+            move = "IC2"
+        elif b < j < k:
+            out = list(symbols)
+            out[j], out[k] = out[k], out[j]
+            yield tuple(out), b, "IC1"
+            continue
+        else:  # the arc (a, b) itself, or nested or crossing the wrong way
+            continue
+        out = list(symbols)
+        out[a], out[b] = out[b], out[a]
+        yield tuple(out), b, move
 
 
 def covers_from(clan: Clan) -> tuple[LabeledCover, ...]:
     """All weak-order covers of a clan, merged by target."""
-    partner: dict[int, int] = {}
-    for (i, j) in clan.arcs:
-        partner[i] = j
-        partner[j] = i
-    charge = dict(clan.charges)
-    by_target: dict[Clan, list[tuple[int, str]]] = {}
-    for i in range(1, clan.n):
-        hit = _move_at(partner, charge, i)
-        if hit is None:
-            continue
-        new_arcs, new_charge, move = hit
-        symbols: list = [None] * clan.n
-        for pos, sgn in new_charge.items():
-            symbols[pos - 1] = sgn
-        for label, (x, y) in enumerate(sorted(new_arcs), 1):
-            symbols[x - 1] = symbols[y - 1] = label
-        by_target.setdefault(Clan(symbols), []).append((i, move))
-    covers = []
-    for target in sorted(by_target, key=clan_sort_key):
-        moves = sorted(by_target[target])
-        covers.append(
-            LabeledCover(
-                clan,
-                target,
-                tuple(i for i, _ in moves),
-                tuple(mv for _, mv in moves),
-            )
+    by_target: dict[tuple, list[tuple[int, str]]] = {}
+    for target, i, move in _moves(clan.symbols):
+        by_target.setdefault(target, []).append((i, move))
+    covers = [
+        LabeledCover(
+            clan,
+            Clan(target),
+            tuple(i for i, _ in moves),
+            tuple(mv for _, mv in moves),
         )
+        for target, moves in by_target.items()
+    ]
+    covers.sort(key=lambda cov: clan_sort_key(cov.target))
     return tuple(covers)
 
 
@@ -168,36 +167,54 @@ def build_graph(p: int, q: int, interval_only: bool = False) -> WeakOrderGraph:
     return WeakOrderGraph(p, q, interval_only, nodes, covers)
 
 
+def _left_simple(key: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """s_i * w on trimmed one-line notation: swap the values i and i+1."""
+    images = list(key)
+    n = len(images)
+    if i >= n:
+        # i + 1 is a fixed point of w beyond its trimmed notation
+        images.extend(range(n + 1, i + 2))
+    a, b = images.index(i), images.index(i + 1)
+    images[a], images[b] = i + 1, i
+    if i + 1 < n:
+        # the last entry moved no value onto n, so it is still not fixed
+        return tuple(images)
+    return trim_fixed_points(images)
+
+
 def w_set(clan: Clan, _cache: dict | None = None) -> frozenset[Permutation]:
     """All products s_{i1} * ... * s_{il} over label sequences of paths from
     the clan up to the dense clan.
 
+    The recursion runs on clan symbol tuples and trimmed image tuples; each
+    element of a W-set is built as a ``Permutation`` once.  ``_cache`` is an
+    opaque memo that calls on clans of one shape may share.
+
     >>> sorted(w.reduced_word() for w in w_set(Clan("+-")))
     [(1,)]
     """
-    cache: dict[Clan, frozenset[Permutation]] = _cache if _cache is not None else {}
+    cache: dict[tuple, frozenset[Permutation]] = _cache if _cache is not None else {}
+    dense = dense_clan(clan.p, clan.q).symbols
 
-    def rec(c: Clan) -> frozenset[Permutation]:
-        got = cache.get(c)
+    def rec(symbols: tuple) -> frozenset[Permutation]:
+        got = cache.get(symbols)
         if got is not None:
             return got
-        covers = covers_from(c)
-        if not covers:
-            if c != dense_clan(c.p, c.q):
-                raise RuntimeError(f"non-dense clan with no covers: {c}")
+        acc: set[tuple[int, ...]] = set()
+        moved = False
+        for target, i, _ in _moves(symbols):
+            moved = True
+            acc.update(_left_simple(x.key, i) for x in rec(target))
+        if moved:
+            result = frozenset(map(Permutation, acc))
+        elif symbols == dense:
             result = frozenset({Permutation.identity(1)})
         else:
-            acc = set()
-            for cov in covers:
-                sub = rec(cov.target)
-                for i in cov.labels:
-                    s = Permutation.simple(i)
-                    acc.update(s * x for x in sub)
-            result = frozenset(acc)
-        cache[c] = result
+            raise RuntimeError(f"non-dense clan with no covers: {Clan(symbols)}")
+        cache[symbols] = result
         return result
 
-    return rec(clan)
+    return rec(clan.symbols)
 
 
 def w_set_via_bijection(w: Permutation, p: int) -> frozenset[Permutation]:

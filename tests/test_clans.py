@@ -17,8 +17,6 @@ from clanhess.clans import (
     gamma_w_pair_statistic,
     inclusion_leq,
     interval_clans,
-    matching_from_json,
-    matching_to_json,
     orbit_dimension,
     parse_clan,
     render_clan,
@@ -277,9 +275,6 @@ def test_json_round_trips():
     for text, p, q in [("+1+-2+21", 5, 3), ("11", 1, 1), ("1-1+", 2, 2)]:
         c = parse_clan(text, p, q)
         assert clan_from_json(clan_to_json(c)) == c
-        m = c.to_matching()
-        assert matching_from_json(matching_to_json(m)) == m
-        assert m.to_clan() == c
     with pytest.raises(ValueError, match="does not match"):
         clan_from_json({"p": 2, "q": 1, "symbols": ["+", "-"]})
 

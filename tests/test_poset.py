@@ -6,11 +6,12 @@ import random
 import pytest
 
 from clanhess import clans as clans_mod
-from clanhess.clans import enumerate_clans, inclusion_leq, interval_clans
+from clanhess.clans import enumerate_clans, inclusion_leq, interval_clans, statistics
 from clanhess.hessenberg import hess_orbit_report, hessenberg_vectors, orbit_in_hess
-from clanhess.poset import InclusionPoset, inclusion_poset, members
+from clanhess.poset import InclusionPoset, _key_and_ends, inclusion_poset, members
 
 SHAPES_UP_TO_6 = [(n - q, q) for n in range(2, 7) for q in range(1, n // 2 + 1)]
+SHAPES_UP_TO_8 = [(n - q, q) for n in range(2, 9) for q in range(1, n // 2 + 1)]
 
 
 @pytest.fixture
@@ -48,6 +49,18 @@ def test_members():
     assert members(0) == []
     assert members(1) == [0]
     assert members((1 << 70) | 0b101) == [0, 2, 70]
+
+
+@pytest.mark.parametrize("p,q", SHAPES_UP_TO_8)
+def test_keys_agree_with_statistics(p, q):
+    n = p + q
+    for clan in enumerate_clans(p, q):
+        st = statistics(clan)
+        pairs = tuple(q - st.pair_matrix[i][j] for i in range(n) for j in range(i + 1, n))
+        ends = [0] * n
+        for i, j in clan.arcs:
+            ends[i - 1] = j
+        assert _key_and_ends(clan) == (st.plus_counts + st.minus_counts + pairs, ends)
 
 
 @pytest.mark.parametrize("p,q", SHAPES_UP_TO_6)

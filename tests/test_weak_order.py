@@ -12,6 +12,7 @@ import pytest
 from clanhess.clans import (
     Clan,
     clan_length,
+    clan_sort_key,
     dense_clan,
     enumerate_clans,
     gamma_w,
@@ -24,6 +25,7 @@ from clanhess.clans import (
 from clanhess.perms import Permutation, parse_permutation, symmetric_group
 from clanhess.weak_order import (
     MOVE_TYPES,
+    LabeledCover,
     build_graph,
     covers_from,
     graph_to_dot,
@@ -33,9 +35,124 @@ from clanhess.weak_order import (
     w_set_via_bijection,
 )
 
+SHAPES_UP_TO = {
+    top: [(n - q, q) for n in range(2, top + 1) for q in range(1, n // 2 + 1)]
+    for top in (7, 8)
+}
+
 
 def words(ws):
     return sorted(w.reduced_word() for w in ws)
+
+
+def _move_at(partner, charge, i):
+    """Apply the unique move at positions (i, i+1) if one exists, on the
+    arc set and the charges.  Returns (new_arcs, new_charges, move_type) or
+    None.  partner maps each matched position to its mate; charge maps
+    signed positions to +/-."""
+    a, b = i, i + 1
+    arcs = {tuple(sorted((x, y))) for x, y in partner.items() if x < y}
+
+    def rebuilt(drop, add, charge_updates):
+        new_arcs = (arcs - set(drop)) | set(add)
+        new_charge = {pos: sgn for pos, sgn in charge.items() if pos not in (a, b)}
+        new_charge.update(charge_updates)
+        return new_arcs, new_charge
+
+    if a in charge and b in charge:
+        if charge[a] != charge[b]:
+            return rebuilt((), [(a, b)], {}) + ("II",)
+        return None
+    if a in partner and b in charge:
+        j = partner[a]
+        if j < a:
+            return rebuilt([(j, a)], [(j, b)], {a: charge[b]}) + ("IA1",)
+        return None
+    if a in charge and b in partner:
+        k = partner[b]
+        if k > b:
+            return rebuilt([(b, k)], [(a, k)], {b: charge[a]}) + ("IA2",)
+        return None
+    if a in partner and b in partner and partner[a] != b:
+        j, k = partner[a], partner[b]
+        if j < a and k > b:
+            return rebuilt([(j, a), (b, k)], [(j, b), (a, k)], {}) + ("IB",)
+        if j > b and k > b and j < k:
+            return rebuilt([(a, j), (b, k)], [(a, k), (b, j)], {}) + ("IC1",)
+        if j < a and k < a and j < k:
+            return rebuilt([(j, a), (k, b)], [(k, a), (j, b)], {}) + ("IC2",)
+        return None
+    return None
+
+
+def covers_oracle(clan):
+    """The covers of a clan, one move at a time on the charged matching."""
+    partner = {}
+    for (i, j) in clan.arcs:
+        partner[i] = j
+        partner[j] = i
+    charge = dict(clan.charges)
+    by_target = {}
+    for i in range(1, clan.n):
+        hit = _move_at(partner, charge, i)
+        if hit is None:
+            continue
+        new_arcs, new_charge, move = hit
+        symbols = [None] * clan.n
+        for pos, sgn in new_charge.items():
+            symbols[pos - 1] = sgn
+        for label, (x, y) in enumerate(sorted(new_arcs), 1):
+            symbols[x - 1] = symbols[y - 1] = label
+        by_target.setdefault(Clan(symbols), []).append((i, move))
+    covers = []
+    for target in sorted(by_target, key=clan_sort_key):
+        moves = sorted(by_target[target])
+        covers.append(
+            LabeledCover(
+                clan,
+                target,
+                tuple(i for i, _ in moves),
+                tuple(mv for _, mv in moves),
+            )
+        )
+    return tuple(covers)
+
+
+def w_set_oracle(clan, cache):
+    """The W-set recursion on Permutation products over the oracle covers."""
+    got = cache.get(clan)
+    if got is not None:
+        return got
+    covers = covers_oracle(clan)
+    if not covers:
+        assert clan == dense_clan(clan.p, clan.q)
+        result = frozenset({Permutation.identity(1)})
+    else:
+        acc = set()
+        for cov in covers:
+            sub = w_set_oracle(cov.target, cache)
+            for i in cov.labels:
+                acc.update(Permutation.simple(i) * x for x in sub)
+        result = frozenset(acc)
+    cache[clan] = result
+    return result
+
+
+@pytest.mark.parametrize("p,q", SHAPES_UP_TO[8])
+def test_covers_match_the_oracle(p, q):
+    for clan in enumerate_clans(p, q):
+        assert covers_from(clan) == covers_oracle(clan)
+
+
+@pytest.mark.parametrize("p,q", SHAPES_UP_TO[7])
+def test_w_sets_match_the_oracle(p, q):
+    cache, oracle_cache = {}, {}
+    for clan in enumerate_clans(p, q):
+        got = w_set(clan, cache)
+        expected = w_set_oracle(clan, oracle_cache)
+        assert got == expected
+        # the elements also carry the oracle's one-line notation
+        assert sorted(x.images for x in got) == sorted(x.images for x in expected)
 
 
 def cover_map(clan):
@@ -207,18 +324,14 @@ def test_interval_graph_nodes_are_interval_clans():
     )
 
 
-def test_non_dense_sink_is_an_error():
-    with pytest.raises(RuntimeError):
-        # a fake cache entry cannot rescue a coverless non-dense clan, so
-        # exercise the guard directly on a clan whose covers are suppressed
-        from clanhess import weak_order
+def test_non_dense_sink_is_an_error(monkeypatch):
+    # a fake cache entry cannot rescue a coverless non-dense clan, so
+    # exercise the guard directly on a clan whose moves are suppressed
+    from clanhess import weak_order
 
-        original = weak_order.covers_from
-        try:
-            weak_order.covers_from = lambda c: ()
-            weak_order.w_set(Clan("+-"))
-        finally:
-            weak_order.covers_from = original
+    monkeypatch.setattr(weak_order, "_moves", lambda symbols: iter(()))
+    with pytest.raises(RuntimeError, match="non-dense clan with no covers"):
+        weak_order.w_set(Clan("+-"))
 
 
 def test_graph_exports():
