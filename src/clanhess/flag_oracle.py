@@ -1,10 +1,18 @@
 """Geometric membership oracle built on explicit flags.
 
 Each clan names a K-orbit of flags; the functions here build the standard
-integer basis v_1, ..., v_n of a representative flag and test the defining
-condition x V_i <= V_{m_i} of a Hessenberg variety directly, by exact rank
-computations over the integers.  This is deliberately independent of the
-combinatorial pair criterion so the two can be checked against each other.
+integer basis v_1, ..., v_n of a representative flag and decide the
+defining condition x V_i <= V_{m_i} of a Hessenberg variety directly, by
+exact rank computations over the integers.  This is deliberately
+independent of the combinatorial pair criterion so the two can be checked
+against each other.
+
+Both sides of the condition grow with i and with m_i, so a flag has a
+least Hessenberg vector: the least nondecreasing m with m_i >= i and
+x V_i <= V_{m_i} for every i.  The flag lies in Hess(x, m) exactly when
+that vector is <= m in every coordinate.  :func:`least_hessenberg_vector`
+finds it with fewer than 2n rank computations, and every membership question
+about the flag is then a coordinatewise comparison.
 
 The representative follows the usual recipe.  Writing the clan as c_1 ... c_n
 with p >= q and x = diag(0^p, 1^q):
@@ -32,6 +40,7 @@ __all__ = [
     "FlagBasis",
     "flag_representative",
     "integer_rank",
+    "least_hessenberg_vector",
     "geometric_membership",
     "random_k_element",
     "k_invariance_spotcheck",
@@ -51,7 +60,7 @@ class FlagBasis:
         return self.p + self.q
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def flag_representative(clan: Clan) -> FlagBasis:
     """The standard representative flag of the orbit of a clan.
 
@@ -146,21 +155,45 @@ def _x_image(vector: tuple[int, ...], p: int) -> tuple[int, ...]:
     return (0,) * p + vector[p:]
 
 
-def _membership_from_vectors(vectors, p: int, m) -> bool:
+def _least_vector(vectors, p: int) -> tuple[int, ...]:
+    """The least Hessenberg vector of the flag spanned by a basis.
+
+    Entry i is the least j >= i with x V_i <= V_j, that is with
+    rank(V_j + x V_i) = j.  Since x V_i grows with i, the search for i
+    starts at the answer for i - 1, and j = n needs no test: each rank
+    call either moves j up or settles one i, so there are fewer than 2n.
+    """
     n = len(vectors)
     x_vectors = [_x_image(v, p) for v in vectors]
+    least: list[int] = []
+    j = 0
     for i in range(1, n + 1):
-        bound = m[i - 1]
-        if bound == n:
-            continue
-        rows = list(vectors[:bound]) + x_vectors[:i]
-        if integer_rank(rows) != bound:
-            return False
-    return True
+        j = max(j, i)
+        while j < n and integer_rank((*vectors[:j], *x_vectors[:i])) != j:
+            j += 1
+        least.append(j)
+    return tuple(least)
+
+
+def least_hessenberg_vector(clan: Clan) -> tuple[int, ...]:
+    """The least Hessenberg vector m with x V_i <= V_{m_i} on the
+    representative flag of the orbit of a clan.
+
+    >>> least_hessenberg_vector(Clan("11"))
+    (2, 2)
+    >>> least_hessenberg_vector(Clan("+-"))
+    (1, 2)
+    """
+    return _least_vector(flag_representative(clan).vectors, clan.p)
+
+
+def _within(least, m) -> bool:
+    return all(a <= b for a, b in zip(least, m))
 
 
 def geometric_membership(clan: Clan, m) -> bool:
-    """Whether the representative flag satisfies x V_i <= V_{m_i} for all i.
+    """Whether the representative flag satisfies x V_i <= V_{m_i} for all i,
+    that is whether its least Hessenberg vector is <= m.
 
     >>> geometric_membership(Clan("11"), (1, 2))
     False
@@ -170,7 +203,7 @@ def geometric_membership(clan: Clan, m) -> bool:
     m = tuple(m)
     if not is_hessenberg_vector(m, clan.n):
         raise ValueError(f"not a Hessenberg vector of length {clan.n}: {m!r}")
-    return _membership_from_vectors(flag_representative(clan).vectors, clan.p, m)
+    return _within(least_hessenberg_vector(clan), m)
 
 
 def random_k_element(p: int, q: int, rng: random.Random, ops: int = 12):
@@ -212,7 +245,7 @@ def k_invariance_spotcheck(clan: Clan, m, trials: int = 8, seed: int = 0) -> boo
             tuple(sum(g[r][c] * v[c] for c in range(n)) for r in range(n))
             for v in basis.vectors
         ]
-        if _membership_from_vectors(moved, p, m) != base:
+        if _within(_least_vector(moved, p), m) != base:
             return False
     return True
 

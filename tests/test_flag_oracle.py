@@ -4,15 +4,52 @@ import random
 
 import pytest
 
+from clanhess import flag_oracle
 from clanhess.clans import enumerate_clans, parse_clan
 from clanhess.flag_oracle import (
+    _least_vector,
+    _x_image,
     flag_representative,
     geometric_membership,
     integer_rank,
     k_invariance_spotcheck,
+    least_hessenberg_vector,
     random_k_element,
 )
 from clanhess.hessenberg import hessenberg_vectors, orbit_in_hess
+
+
+def shapes(max_total):
+    return [(n - q, q) for n in range(2, max_total + 1) for q in range(1, n // 2 + 1)]
+
+
+def membership_oracle(vectors, p, m, ranks):
+    """One rank test per i: x V_i <= V_{m_i} iff rank(V_{m_i} + x V_i) = m_i.
+    ranks memoizes each test by (m_i, i) across the m of one basis."""
+    n = len(vectors)
+    x_vectors = [_x_image(v, p) for v in vectors]
+    for i in range(1, n + 1):
+        bound = m[i - 1]
+        if bound == n:
+            continue
+        if (bound, i) not in ranks:
+            ranks[bound, i] = integer_rank(list(vectors[:bound]) + x_vectors[:i])
+        if ranks[bound, i] != bound:
+            return False
+    return True
+
+
+def arc_closure(clan):
+    """The least Hessenberg vector whose variety holds the orbit closure:
+    entry i is max(i, j over the arcs (i, j)), made nondecreasing."""
+    ends = list(range(1, clan.n + 1))
+    for i, j in clan.arcs:
+        ends[i - 1] = max(ends[i - 1], j)
+    out, top = [], 0
+    for e in ends:
+        top = max(top, e)
+        out.append(top)
+    return tuple(out)
 
 
 def unit(n, k, sign=1):
@@ -72,6 +109,47 @@ def test_membership_matches_pair_criterion_small():
         for clan in enumerate_clans(p, q):
             for m in hessenberg_vectors(n):
                 assert geometric_membership(clan, m) == orbit_in_hess(clan, m)
+
+
+def test_least_vector_membership_matches_the_rank_oracle():
+    for p, q in shapes(6):
+        vectors = list(hessenberg_vectors(p + q))
+        for clan in enumerate_clans(p, q):
+            basis = flag_representative(clan).vectors
+            least = least_hessenberg_vector(clan)
+            ranks = {}
+            for m in vectors:
+                want = membership_oracle(basis, p, m, ranks)
+                assert all(a <= b for a, b in zip(least, m)) == want
+
+
+def test_least_vector_is_the_arc_closure():
+    for p, q in shapes(8):
+        for clan in enumerate_clans(p, q):
+            assert least_hessenberg_vector(clan) == arc_closure(clan)
+
+
+def test_least_vector_tests_each_rank_once(monkeypatch):
+    # entry i starts at max(entry i-1, i), every failed test moves up by
+    # one, and a search that reaches n stops without a test
+    calls = []
+    real_rank = flag_oracle.integer_rank
+
+    def counted(rows):
+        calls.append(1)
+        return real_rank(rows)
+
+    monkeypatch.setattr(flag_oracle, "integer_rank", counted)
+    for p, q in shapes(6):
+        n = p + q
+        for clan in enumerate_clans(p, q):
+            calls.clear()
+            least = _least_vector(flag_representative(clan).vectors, p)
+            expected, prev = 0, 0
+            for i, j in enumerate(least, 1):
+                expected += j - max(prev, i) + (j < n)
+                prev = j
+            assert len(calls) == expected < 2 * n
 
 
 def test_membership_validates_input():
