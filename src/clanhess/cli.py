@@ -120,7 +120,7 @@ def _validated_shape(args) -> tuple[int, int]:
 def _cmd_clans(args) -> tuple[int, list[str]]:
     if args.clans_command == "enumerate":
         p, q = _validated_shape(args)
-        clans = sorted(enumerate_clans(p, q), key=clan_sort_key)
+        clans = enumerate_clans(p, q)
         if args.format == "json":
             return 0, [json.dumps([clan_to_json(c) for c in clans])]
         return 0, [render_clan(c) for c in clans]
@@ -293,7 +293,7 @@ def _cmd_scan(args) -> tuple[int, list[str]]:
     lines = []
     products = 0
     violations = 0
-    for clan in sorted(enumerate_clans(p, q), key=clan_sort_key):
+    for clan in enumerate_clans(p, q):
         expansion = SchubertExpansion({x: 1 for x in w_set(clan, cache)})
         for m in range(1, min(max_m, n - 1) + 1):
             products += 1

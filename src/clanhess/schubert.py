@@ -206,7 +206,8 @@ class IntPolynomial:
         return f"IntPolynomial<{self.render()}>"
 
 
-@lru_cache(maxsize=None)
+# bounded; `verify all` builds 102 distinct polynomials
+@lru_cache(maxsize=128)
 def schubert_polynomial(w: Permutation) -> IntPolynomial:
     """The Schubert polynomial of w, by divided differences down from the
     staircase monomial of the longest element.

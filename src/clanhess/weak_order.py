@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 
 from .clans import (
     Clan,
@@ -167,54 +168,68 @@ def build_graph(p: int, q: int, interval_only: bool = False) -> WeakOrderGraph:
     return WeakOrderGraph(p, q, interval_only, nodes, covers)
 
 
-def _left_simple(key: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """s_i * w on trimmed one-line notation: swap the values i and i+1."""
-    images = list(key)
-    n = len(images)
-    if i >= n:
-        # i + 1 is a fixed point of w beyond its trimmed notation
-        images.extend(range(n + 1, i + 2))
-    a, b = images.index(i), images.index(i + 1)
-    images[a], images[b] = i + 1, i
-    if i + 1 < n:
-        # the last entry moved no value onto n, so it is still not fixed
-        return tuple(images)
-    return trim_fixed_points(images)
+# n = p + q up to which W-set elements fit bytes one-line notation
+W_SET_MAX_N = 254
+# _SWAP[i] is the bytes.translate table that swaps the values i and i+1
+_SWAP = [bytes.maketrans(bytes((i, i + 1)), bytes((i + 1, i))) for i in range(W_SET_MAX_N)]
 
 
 def w_set(clan: Clan, _cache: dict | None = None) -> frozenset[Permutation]:
     """All products s_{i1} * ... * s_{il} over label sequences of paths from
     the clan up to the dense clan.
 
-    The recursion runs on clan symbol tuples and trimmed image tuples; each
-    element of a W-set is built as a ``Permutation`` once.  ``_cache`` is an
-    opaque memo that calls on clans of one shape may share.
+    The recursion runs on clan symbol tuples and keeps each W-set element
+    as the bytes one-line notation of S_{p+q}, so ``s_i * x`` is
+    ``x.translate(_SWAP[i])`` and a whole set is mapped without a Python
+    frame per element.  Each distinct element is built as a trimmed
+    ``Permutation`` once per shape, and every returned set shares those
+    objects.  ``_cache`` is an opaque memo that calls on clans of any shape
+    may share; it holds the bytes sets by symbol tuple and, per shape, the
+    dense clan and the table from elements to their ``Permutation``s, never
+    the returned frozensets.  p + q above ``W_SET_MAX_N`` is a ValueError.
 
     >>> sorted(w.reduced_word() for w in w_set(Clan("+-")))
     [(1,)]
     """
-    cache: dict[tuple, frozenset[Permutation]] = _cache if _cache is not None else {}
-    dense = dense_clan(clan.p, clan.q).symbols
+    n = clan.n
+    if n > W_SET_MAX_N:
+        raise ValueError(f"w_set supports p + q <= {W_SET_MAX_N}, got p + q = {n}")
+    cache: dict = _cache if _cache is not None else {}
+    # never a symbol tuple, whose entries are ints and signs
+    shape_key = ("shape", clan.p, clan.q)
+    shape = cache.get(shape_key)
+    identity = bytes(range(1, n + 1))
+    if shape is None:
+        # the dense clan's symbols; one bytes object per distinct element,
+        # which all the memo's sets share; each returned element's Permutation
+        shape = (
+            dense_clan(clan.p, clan.q).symbols,
+            {},
+            {identity: Permutation.identity(1)},
+        )
+        cache[shape_key] = shape
+    dense, distinct, table = shape
 
-    def rec(symbols: tuple) -> frozenset[Permutation]:
+    def rec(symbols: tuple) -> frozenset[bytes]:
         got = cache.get(symbols)
         if got is not None:
             return got
-        acc: set[tuple[int, ...]] = set()
-        moved = False
+        acc: set[bytes] = set()
         for target, i, _ in _moves(symbols):
-            moved = True
-            acc.update(_left_simple(x.key, i) for x in rec(target))
-        if moved:
-            result = frozenset(map(Permutation, acc))
+            acc.update(map(bytes.translate, rec(target), repeat(_SWAP[i])))
+        if acc:
+            result = frozenset(map(distinct.setdefault, acc, acc))
         elif symbols == dense:
-            result = frozenset({Permutation.identity(1)})
+            result = frozenset({identity})
         else:
             raise RuntimeError(f"non-dense clan with no covers: {Clan(symbols)}")
         cache[symbols] = result
         return result
 
-    return rec(clan.symbols)
+    elements = rec(clan.symbols)
+    for x in elements.difference(table):
+        table[x] = Permutation(trim_fixed_points(x))
+    return frozenset(map(table.__getitem__, elements))
 
 
 def w_set_via_bijection(w: Permutation, p: int) -> frozenset[Permutation]:

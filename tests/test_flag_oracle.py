@@ -185,3 +185,29 @@ def test_k_invariance_spotcheck():
     assert k_invariance_spotcheck(clan, (1, 8, 8, 8, 8, 8, 8, 8), trials=6, seed=3)
     assert k_invariance_spotcheck(clan, (1, 7, 7, 7, 7, 7, 7, 8), trials=6, seed=3)
     assert k_invariance_spotcheck(parse_clan("1212"), (2, 3, 4, 4), trials=6, seed=5)
+
+
+def test_criterion_4_names_each_disagreeing_clan(monkeypatch):
+    from clanhess import verify
+    from clanhess.poset import InclusionPoset
+
+    pairs = sum(
+        len(enumerate_clans(p, q)) * len(list(hessenberg_vectors(p + q))) for p, q in shapes(4)
+    )
+    assert verify.oracle_checks(max_total=4).detail.startswith(f"{pairs} (clan, m) ")
+    # a wrong arc criterion that misplaces the first and the last clan
+    right = InclusionPoset.contained
+
+    def wrong(self, m):
+        return right(self, m) ^ 1 ^ (1 << len(self.clans) - 1)
+
+    monkeypatch.setattr(InclusionPoset, "contained", wrong)
+    result = verify.oracle_checks(max_total=2)
+    assert not result.passed
+    assert result.detail == (
+        "+- m=(1, 2): geometric=True arc=False; 11 m=(1, 2): geometric=False arc=True; "
+        "+- m=(2, 2): geometric=True arc=False; +1 more"
+    )
+    # two disagreements per (shape, m) with p + q <= 4: 2 * (2 + 5 + 14 + 14)
+    result = verify.oracle_checks(max_total=4)
+    assert not result.passed and result.detail.endswith("; +67 more")

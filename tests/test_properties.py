@@ -10,10 +10,23 @@ hypothesis = pytest.importorskip("hypothesis", reason="hypothesis is in the test
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import json  # noqa: E402
 import random  # noqa: E402
 from fractions import Fraction  # noqa: E402
 
-from clanhess.clans import enumerate_clans  # noqa: E402
+from clanhess.clans import (  # noqa: E402
+    MINUS,
+    PLUS,
+    Clan,
+    clan_from_json,
+    clan_length,
+    clan_to_json,
+    enumerate_clans,
+    inclusion_leq,
+    orbit_dimension,
+    parse_clan,
+    render_clan,
+)
 from clanhess.flag_oracle import (  # noqa: E402
     _least_vector,
     flag_representative,
@@ -23,7 +36,7 @@ from clanhess.flag_oracle import (  # noqa: E402
 )
 from clanhess.perms import Permutation  # noqa: E402
 from clanhess.schubert import SchubertExpansion, monk_product, product_oracle  # noqa: E402
-from clanhess.weak_order import _left_simple  # noqa: E402
+from clanhess.weak_order import _SWAP, covers_from  # noqa: E402
 
 FIXED = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -36,9 +49,11 @@ def permutations(max_degree):
 
 @FIXED
 @given(permutations(8), st.integers(1, 9))
-def test_left_simple_is_the_product_with_s_i(w, i):
+def test_swap_table_is_the_product_with_s_i(w, i):
+    # W-set elements are bytes one-line notation in a fixed S_n
+    n = max(w.degree, i + 1)
     expected = Permutation.simple(i) * w
-    assert _left_simple(w.key, i) == expected.key
+    assert bytes(w.embedded(n).images).translate(_SWAP[i]) == bytes(expected.embedded(n).images)
 
 
 @FIXED
@@ -119,3 +134,39 @@ def test_least_vector_is_k_invariant(clan, seed):
         for v in flag_representative(clan).vectors
     ]
     assert _least_vector(moved, clan.p) == least_hessenberg_vector(clan)
+
+
+@st.composite
+def random_clans(draw, max_total):
+    """A clan of any shape with p + q <= max_total: pair up the first 2l
+    positions of a random order, then place the pluses and the minuses."""
+    n = draw(st.integers(2, max_total))
+    q = draw(st.integers(1, n // 2))
+    p = n - q
+    ell = draw(st.integers(0, q))
+    order = draw(st.permutations(range(n)))
+    symbols = [MINUS] * n
+    for k in range(ell):
+        symbols[order[2 * k]] = symbols[order[2 * k + 1]] = k + 1
+    for pos in order[2 * ell : 2 * ell + p - ell]:
+        symbols[pos] = PLUS
+    clan = Clan(symbols)
+    assert (clan.p, clan.q) == (p, q)
+    return clan
+
+
+@FIXED
+@given(random_clans(12))
+def test_clan_text_and_json_round_trip(clan):
+    assert parse_clan(render_clan(clan), clan.p, clan.q) == clan
+    assert parse_clan(render_clan(clan)) == clan
+    assert clan_from_json(json.dumps(clan_to_json(clan))) == clan
+
+
+@FIXED
+@given(random_clans(12))
+def test_covers_step_by_one_and_refine_inclusion(clan):
+    for cov in covers_from(clan):
+        assert orbit_dimension(cov.target) == orbit_dimension(clan) + 1
+        assert clan_length(cov.target) == clan_length(clan) + 1
+        assert inclusion_leq(clan, cov.target)

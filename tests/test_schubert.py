@@ -90,6 +90,10 @@ def test_divided_difference_relations_exhaustive():
         assert d1.divided_difference(3) == d3.divided_difference(1)
 
 
+def test_schubert_polynomial_cache_is_bounded():
+    assert schubert_polynomial.cache_info().maxsize is not None
+
+
 def test_schubert_frozen_values():
     assert schubert_polynomial(Permutation.identity(1)) == IntPolynomial.one()
     assert S("21") == x1

@@ -155,6 +155,32 @@ def test_w_sets_match_the_oracle(p, q):
         assert sorted(x.images for x in got) == sorted(x.images for x in expected)
 
 
+def test_one_memo_shares_equal_elements():
+    cache = {}
+    seen = {}
+    for clan in enumerate_clans(3, 2):
+        for x in w_set(clan, cache):
+            assert seen.setdefault(x, x) is x
+
+
+def test_one_memo_serves_two_shapes_of_equal_size():
+    shared = {}
+    for p, q in [(3, 2), (4, 1), (3, 2)]:
+        alone = {}
+        for clan in enumerate_clans(p, q):
+            got, expected = w_set(clan, shared), w_set(clan, alone)
+            assert got == expected
+            assert sorted(x.images for x in got) == sorted(x.images for x in expected)
+
+
+def test_w_set_size_envelope():
+    # the bytes one-line notation holds n <= 254, checked before any work
+    top = dense_clan(127, 127)
+    assert w_set(top) == {Permutation.identity(1)}
+    with pytest.raises(ValueError, match=r"p \+ q <= 254, got p \+ q = 256"):
+        w_set(parse_clan("+" * 128 + "-" * 128))
+
+
 def cover_map(clan):
     return {
         render_clan(c.target): (c.labels, c.move_types) for c in covers_from(clan)
