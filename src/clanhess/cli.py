@@ -37,7 +37,6 @@ import sys
 from . import verify as verify_mod
 from .clans import (
     Clan,
-    clan_sort_key,
     clan_to_json,
     enumerate_clans,
     gamma_w,
@@ -250,7 +249,7 @@ def _cmd_hess(args) -> tuple[int, list[str]]:
         lines = [
             f"m = {','.join(str(v) for v in rep.m)}  (p={p}, q={q})",
             f"contained orbits: {len(rep.contained)}",
-            "maximal: " + " ".join(render_clan(c) for c in sorted(rep.maximal, key=clan_sort_key)),
+            "maximal: " + " ".join(render_clan(c) for c in rep.maximal),
             f"irreducible: {'yes' if rep.irreducible else 'no'}",
         ]
         if rep.witness is not None:

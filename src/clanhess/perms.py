@@ -192,11 +192,6 @@ class Permutation:
         inv = self.inverse().images
         return tuple(i for i in range(1, len(inv)) if inv[i - 1] > inv[i])
 
-    def right_descents(self) -> tuple[int, ...]:
-        """Letters i with length(w * s_i) < length(w)."""
-        images = self.images
-        return tuple(i for i in range(1, len(images)) if images[i - 1] > images[i])
-
     def reduced_word(self) -> tuple[int, ...]:
         """Lexicographically smallest reduced word for w.
 

@@ -181,7 +181,7 @@ def _word_set(words) -> frozenset[Permutation]:
 
 def corrected_monk_lists() -> dict[int, frozenset[Permutation]]:
     """The five divisor products at ``p = 3`` with the two list corrections
-    applied (used both by the worked-example check and the CLI)."""
+    applied (used by the worked-example check)."""
     out: dict[int, frozenset[Permutation]] = {}
     for m, words in _REFERENCE_MONK_WORDS.items():
         replaced = _MONK_REPLACED_TERMS.get(m, {})

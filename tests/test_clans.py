@@ -5,11 +5,14 @@ import itertools
 import pytest
 
 from clanhess.clans import (
+    MINUS,
+    PLUS,
     Clan,
     as_interval_permutation,
     clan_count,
     clan_from_json,
     clan_length,
+    clan_sort_key,
     clan_to_json,
     dense_clan,
     enumerate_clans,
@@ -60,8 +63,23 @@ def test_enumerate_counts_small():
     assert [str(c) for c in enumerate_clans(1, 1)] == ["+-", "-+", "11"]
 
 
+def _canonical_words(p, q):
+    """Brute force: every word over {+, -, 1..q} of length p + q that Clan
+    accepts unchanged with shape (p, q), in clan_sort_key order."""
+    found = []
+    for word in itertools.product([PLUS, MINUS, *range(1, q + 1)], repeat=p + q):
+        try:
+            clan = Clan(word)
+        except ValueError:
+            continue
+        if clan.symbols == word and (clan.p, clan.q) == (p, q):
+            found.append(clan)
+    return sorted(found, key=clan_sort_key)
+
+
 def test_enumerate_matches_closed_form_and_is_duplicate_free():
-    # oracle: sum over ell of C(n,2ell)(2ell-1)!!C(n-2ell,p-ell)
+    # oracles: sum over ell of C(n,2ell)(2ell-1)!!C(n-2ell,p-ell), and the
+    # sorted brute-force word list, element for element
     for p in range(1, 6):
         for q in range(1, p + 1):
             if p + q > 7:
@@ -69,6 +87,7 @@ def test_enumerate_matches_closed_form_and_is_duplicate_free():
             clans = enumerate_clans(p, q)
             assert len(clans) == len(set(clans)) == clan_count(p, q)
             assert all((c.p, c.q) == (p, q) for c in clans)
+            assert list(clans) == _canonical_words(p, q)
 
 
 def test_statistics_worked_example():
@@ -251,6 +270,10 @@ def test_gamma_w_shapes():
     }
     with pytest.raises(ValueError):
         gamma_w(Permutation((2, 1, 3)), 2)
+    for q in range(1, 6):
+        for p in (q, q + 2):
+            clans = interval_clans(p, q)
+            assert list(clans) == sorted(clans, key=clan_sort_key)
 
 
 def test_as_interval_permutation():

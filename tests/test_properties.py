@@ -7,7 +7,7 @@ run is deterministic.
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis", reason="hypothesis is in the test extra")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import json  # noqa: E402
@@ -64,6 +64,24 @@ def test_key_ignores_trailing_fixed_points(w):
     trimmed = w.trimmed()
     assert longer.key == w.key == trimmed.images
     assert trimmed.trimmed() is trimmed
+
+
+@FIXED
+@given(permutations(8), permutations(8), permutations(8))
+def test_group_axioms(u, v, w):
+    e = Permutation.identity(w.degree)
+    assert (u * v) * w == u * (v * w)
+    assert e * w == w * e == w
+    assert w * w.inverse() == w.inverse() * w == e
+
+
+@FIXED
+@given(permutations(8))
+def test_code_and_reduced_word_recover_w(w):
+    assert Permutation.from_code(w.code()) == w
+    word = w.reduced_word()
+    assert len(word) == w.length()
+    assert Permutation.from_word(word) == w
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -157,6 +175,7 @@ def random_clans(draw, max_total):
 
 @FIXED
 @given(random_clans(12))
+@example(Clan([*range(1, 11), PLUS, *range(10, 0, -1)]))  # labels >= 10: token form
 def test_clan_text_and_json_round_trip(clan):
     assert parse_clan(render_clan(clan), clan.p, clan.q) == clan
     assert parse_clan(render_clan(clan)) == clan
