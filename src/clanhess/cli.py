@@ -56,7 +56,7 @@ from .perms import (
     render_word,
 )
 from .poset import InclusionPoset, inclusion_poset
-from .schubert import SchubertExpansion, brion_class, monk_product
+from .schubert import brion_class, monk_product
 from .weak_order import build_graph, graph_to_dot, graph_to_json, w_set, w_set_via_bijection
 
 
@@ -293,7 +293,7 @@ def _cmd_scan(args) -> tuple[int, list[str]]:
     products = 0
     violations = 0
     for clan in enumerate_clans(p, q):
-        expansion = SchubertExpansion({x: 1 for x in w_set(clan, cache)})
+        expansion = brion_class(clan, cache)
         for m in range(1, min(max_m, n - 1) + 1):
             products += 1
             product = monk_product(m, expansion, n=n)

@@ -227,7 +227,8 @@ def schubert_polynomial(w: Permutation) -> IntPolynomial:
 
 
 class SchubertExpansion:
-    """An integer combination of Schubert polynomials, keyed by permutation.
+    """An integer combination of Schubert polynomials, keyed by permutation:
+    the keys are trimmed and distinct, and no coefficient is zero.
 
     >>> SchubertExpansion({Permutation((3, 1, 2)): 1}).render()
     '1 * S[3,1,2]'
@@ -236,12 +237,8 @@ class SchubertExpansion:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict | None = None) -> None:
-        clean: dict[Permutation, int] = {}
-        for w, coeff in (coeffs or {}).items():
-            if coeff:
-                w = w.trimmed()
-                clean[w] = clean.get(w, 0) + coeff
-        self.coeffs = {w: c for w, c in clean.items() if c}
+        # keys are distinct under Permutation equality, so no two terms merge
+        self.coeffs = {w.trimmed(): c for w, c in (coeffs or {}).items() if c}
 
     def items(self) -> list[tuple[Permutation, int]]:
         """Terms sorted by length, then by one-line notation."""
@@ -309,12 +306,12 @@ def expand_in_schubert_basis(poly: IntPolynomial) -> SchubertExpansion:
     return SchubertExpansion(coeffs)
 
 
-def brion_class(clan: Clan) -> SchubertExpansion:
+def brion_class(clan: Clan, _cache: dict | None = None) -> SchubertExpansion:
     """The cohomology class of the orbit closure: sum of S_x over the W-set,
-    every coefficient equal to one."""
+    every coefficient equal to one.  ``_cache`` is ``w_set``'s memo."""
     from .weak_order import w_set
 
-    return SchubertExpansion({x: 1 for x in w_set(clan)})
+    return SchubertExpansion(dict.fromkeys(w_set(clan, _cache), 1))
 
 
 def monk_product(m: int, expansion: SchubertExpansion, n: int | None = None) -> SchubertExpansion:

@@ -451,8 +451,9 @@ def monk_checks() -> CheckResult:
     for q in range(1, 5):
         for p in range(q, q + 3):
             n = p + q
+            cache: dict = {}
             for w in symmetric_group(q):
-                cls = brion_class(gamma_w(w, p))
+                cls = brion_class(gamma_w(w, p), cache)
                 for m in range(1, n):
                     products += 1
                     got = monk_product(m, cls, n=n)

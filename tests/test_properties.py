@@ -84,16 +84,58 @@ def test_code_and_reduced_word_recover_w(w):
     assert Permutation.from_word(word) == w
 
 
+def merged_terms(coeffs):
+    """SchubertExpansion's former constructor loop, kept as the reference:
+    trim each key, sum the coefficients of equal keys, drop zeros."""
+    clean = {}
+    for w, coeff in coeffs.items():
+        if coeff:
+            w = w.trimmed()
+            clean[w] = clean.get(w, 0) + coeff
+    return {w: c for w, c in clean.items() if c}
+
+
+@FIXED
+@given(st.lists(st.tuples(permutations(6), st.integers(0, 3), st.integers(-2, 2)), max_size=6))
+def test_expansion_keys_are_trimmed_and_coefficients_nonzero(terms):
+    # keys carry trailing fixed points; equal permutations collapse in the dict
+    coeffs = {w.embedded(w.degree + extra): c for w, extra, c in terms}
+    got = SchubertExpansion(coeffs).coeffs
+    assert got == merged_terms(coeffs)
+    assert all(w.images == w.key and c for w, c in got.items())
+
+
+@st.composite
+def monk_factors_and_expansions(draw):
+    """m and 1 to 4 distinct terms in S_5 with coefficients in -2..2,
+    nonzero: a random term and up to three u with u * t_{jk} = w for one w
+    and j <= m < k.  Their products all reach S_w, so terms can cancel."""
+    m = draw(st.integers(1, 5))
+    w = Permutation(draw(st.permutations(range(1, 6))))
+    below = [
+        u
+        for j in range(1, m + 1)
+        for k in range(m + 1, 6)
+        if (u := w * Permutation.transposition(j, k, 5)).length() == w.length() - 1
+    ]
+    terms = list(dict.fromkeys([draw(permutations(5))] + below[:3]))
+    signs = st.integers(-2, 2).filter(bool)
+    coeffs = draw(st.lists(signs, min_size=len(terms), max_size=len(terms)))
+    return m, SchubertExpansion(dict(zip(terms, coeffs)))
+
+
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(permutations(5), st.integers(1, 5))
-def test_monk_product_matches_the_polynomial_oracle(u, m):
-    single = SchubertExpansion({u: 1})
-    stable = monk_product(m, single)
-    assert stable == product_oracle(m, single)
+@given(monk_factors_and_expansions())
+# S_213 * S_s2 and S_132 * S_s2 share the term S_231, which cancels
+@example((2, SchubertExpansion({Permutation((2, 1, 3)): 1, Permutation((1, 3, 2)): -1})))
+def test_monk_product_matches_the_polynomial_oracle(factor_and_expansion):
+    m, expansion = factor_and_expansion
+    stable = monk_product(m, expansion)
+    assert stable == product_oracle(m, expansion)
     # in H^*(Fl_n) the product keeps exactly the stable terms inside S_n
-    n = max(len(u.key), m + 1)
+    n = max(max(len(u.key) for u in expansion.coeffs), m + 1)
     truncated = {w: c for w, c in stable.coeffs.items() if len(w.key) <= n}
-    assert monk_product(m, single, n=n).coeffs == truncated
+    assert monk_product(m, expansion, n=n).coeffs == truncated
 
 
 def fraction_rank(rows):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from clanhess.clans import dense_clan, parse_clan
+from clanhess.clans import dense_clan, enumerate_clans, parse_clan
 from clanhess.perms import Permutation, parse_permutation, symmetric_group
 from clanhess.schubert import (
     IntPolynomial,
@@ -194,6 +194,14 @@ def test_brion_class_small():
     cls = brion_class(parse_clan("+-+"))
     assert cls == expansion(("231", 1), ("312", 1))
     assert cls.polynomial() == x1 * x1 + x1 * x2
+
+
+def test_brion_class_with_a_shared_memo():
+    # the memo is opaque and may be shared across shapes
+    memo: dict = {}
+    for p, q in ((3, 3), (4, 3)):
+        for clan in enumerate_clans(p, q):
+            assert brion_class(clan, memo) == brion_class(clan)
 
 
 def test_monk_basics():
