@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .clans import Clan, as_interval_permutation, clan_to_json, gamma_w
 from .perms import Permutation, avoids, render_permutation, symmetric_group
-from .poset import inclusion_poset, members
+from .poset import inclusion_poset
 
 __all__ = [
     "is_hessenberg_vector",
@@ -144,20 +144,11 @@ def hess_orbit_report(p: int, q: int, m) -> HessOrbitReport:
     if not is_hessenberg_vector(m, p + q):
         raise ValueError(f"not a Hessenberg vector of length {p + q}: {m!r}")
     poset = inclusion_poset(p, q)
-    clans = poset.clans
     mask = poset.contained(m)
-    maximal = tuple(map(clans.__getitem__, poset.maximal(mask)))
+    maximal = tuple(map(poset.clans.__getitem__, poset.maximal(mask)))
     irreducible = len(maximal) == 1
     witness = as_interval_permutation(maximal[0]) if irreducible else None
-    return HessOrbitReport(
-        p,
-        q,
-        m,
-        tuple(map(clans.__getitem__, members(mask))),
-        maximal,
-        irreducible,
-        witness,
-    )
+    return HessOrbitReport(p, q, m, poset.select(mask), maximal, irreducible, witness)
 
 
 def m_of_w(w: Permutation, p: int) -> tuple[int, ...]:

@@ -35,13 +35,32 @@ __all__ = ["InclusionPoset", "inclusion_poset", "members"]
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def _bits(mask: int) -> bytes:
+    """bits[i] = bit i of mask, as the byte 0 or 1, up to its highest set bit.
+
+    Precondition: 0 <= mask <= full, for the family the mask indexes
+    (``members``, which has no family, needs only 0 <= mask).  The callers
+    check it: bin() of a negative mask starts with a sign, which would read
+    as one more set bit, and ``select`` would drop the bits beyond full.
+
+    >>> list(_bits(0b10110))
+    [0, 1, 1, 0, 1]
+    """
+    return bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES)
+
+
 def members(mask: int) -> list[int]:
     """Indices of the set bits of a nonnegative mask, in increasing order.
+
+    ``InclusionPoset.select`` gives the clans themselves; this is for
+    callers that need the indices.
 
     >>> members(0b10110)
     [1, 2, 4]
     """
-    bits = bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES)  # bits[i] = bit i
+    if mask < 0:
+        raise ValueError(f"a mask must be nonnegative, got {mask}")
+    bits = _bits(mask)
     return list(compress(range(len(bits)), bits))
 
 
@@ -147,9 +166,30 @@ class InclusionPoset:
         length n (see ``hessenberg.is_hessenberg_vector``)."""
         return _below(self._arc_ends, m, self.full)
 
+    def _check(self, mask: int) -> None:
+        if not 0 <= mask <= self.full:
+            size = len(self.clans)
+            raise ValueError(f"mask outside this family of {size} clans: need 0 <= mask < 2**{size}")
+
+    def select(self, mask: int) -> tuple[Clan, ...]:
+        """The clans in mask, in increasing order of index.
+
+        Precondition, checked: 0 <= mask <= full.  Equal to
+        ``tuple(clans[i] for i in members(mask))``, without building an
+        index for every clan of the family.
+
+        >>> [str(c) for c in inclusion_poset(1, 1).select(0b101)]
+        ['+-', '11']
+        """
+        self._check(mask)
+        return tuple(compress(self.clans, _bits(mask)))
+
     def maximal(self, mask: int) -> list[int]:
         """The maximal elements of the set of clans in mask, in increasing
-        order: the i in mask with up[i] & mask == 1 << i."""
+        order: the i in mask with up[i] & mask == 1 << i.
+
+        Precondition, checked: 0 <= mask <= full."""
+        self._check(mask)
         up, down = self.up, self.down
         out = []
         rest = mask

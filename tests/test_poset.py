@@ -49,6 +49,30 @@ def test_members():
     assert members(0) == []
     assert members(1) == [0]
     assert members((1 << 70) | 0b101) == [0, 2, 70]
+    with pytest.raises(ValueError, match="nonnegative"):
+        members(-5)
+
+
+# 6 and 26 clans: neither family fills a whole number of bytes
+@pytest.mark.parametrize("p,q", [(2, 1), (3, 2)])
+def test_select_reads_the_clans_of_members(p, q):
+    poset = inclusion_poset(p, q)
+    size = len(poset.clans)
+    assert size % 8
+    rng = random.Random(size)
+    masks = [0, poset.full, 1 << (size - 1)] + [rng.getrandbits(size) for _ in range(200)]
+    for mask in masks:
+        assert poset.select(mask) == tuple(poset.clans[i] for i in members(mask))
+
+
+@pytest.mark.parametrize("mask", [-1, -5, 1 << 6, (1 << 40) | 1])
+def test_masks_outside_the_family_are_rejected(mask):
+    poset = inclusion_poset(2, 1)
+    assert len(poset.clans) == 6
+    with pytest.raises(ValueError, match="family of 6 clans"):
+        poset.select(mask)
+    with pytest.raises(ValueError, match="family of 6 clans"):
+        poset.maximal(mask)
 
 
 @pytest.mark.parametrize("p,q", SHAPES_UP_TO_8)
@@ -80,6 +104,7 @@ def test_contained_agrees_with_orbit_in_hess(p, q):
     for m in hessenberg_vectors(p + q):
         want = [i for i, c in enumerate(poset.clans) if orbit_in_hess(c, m)]
         assert members(poset.contained(m)) == want
+        assert hess_orbit_report(p, q, m).contained == tuple(poset.clans[i] for i in want)
 
 
 @pytest.mark.parametrize("p,q", [(3, 2), (3, 3), (4, 3)])
