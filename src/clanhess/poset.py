@@ -6,20 +6,26 @@ clans whose vector has entry <= v at f.  The clans whose vector is <= x
 componentwise are then the AND of one mask per coordinate, so one query
 covers the whole family in F big-int operations, not N tuple comparisons.
 
-Three families of vectors feed the kernel:
+Two families of vectors feed the kernel:
 
 * the key  plus_counts || minus_counts || (q - pair_matrix[i][j] for i < j).
   By McGovern's statistics criterion (see ``clans.inclusion_leq``), a <= b
-  exactly when key(b) <= key(a), so the query at key(a) is the up-set of a;
-* the reversed key  n - key: its query at n - key(b) is the down-set of b;
+  exactly when key(b) <= key(a), so the query at key(a) is the up-set of a.
+  The down-set of b is the AND over f of the clans with entry >= key(b)[f]
+  at f, the complement of the mask at key(b)[f] - 1 (all clans at 0);
 * the arc ends r, with r[i-1] = j for each arc (i, j) of the clan and 0 at
   the other positions.  An orbit closure lies in the Hessenberg variety of
   m exactly when r <= m, so the contained clans are one query at m.
 
+Both are built column by column, never clan by clan (``_key_columns``):
+each clan becomes n bytes, one code per position, and column f is one
+bytes object with byte c for ``clans[c]``.  The counts and pair entries
+are running sums of translated columns, added lane-wise as integers.
+
 Bit c of every mask stands for ``clans[c]``.  The full ``up`` and ``down``
 matrices take about N^2/4 bytes for N clans: 2 MB for the 2,835 clans at
-(4,4), 24 MB at (5,4) and about 0.5 GB at (5,5) (515 MB measured), which
-fits.  (6,5) would need about 7.5 GB, more than an 8 GB machine has.
+(4,4), 24 MB at (5,4) and about 0.5 GB at (5,5) (453 MB peak RSS measured),
+which fits.  (6,5) would need about 7.5 GB, more than an 8 GB machine has.
 """
 
 from __future__ import annotations
@@ -82,47 +88,63 @@ def _below(masks: list[list[int]], x, full: int) -> int:
     return reduce(and_, map(list.__getitem__, masks, x), full)
 
 
-def _key_and_ends(clan: Clan) -> tuple[tuple[int, ...], list[int]]:
-    """The key and the arc ends r of a clan (see the module docstring),
-    read straight off its symbols; ``clans.statistics`` is the reference.
+# The byte code of each position of a clan: an opener holds its arc end t,
+# 2 <= t <= n, so every n up to _MAX_N leaves the three sign codes free.
+_MAX_N = 252
+_PLUS, _MINUS, _CLOSER = 253, 254, 255
+# both ends of an arc map to _CLOSER; _key_columns then writes t at the opener
+_CODES = {PLUS: _PLUS, MINUS: _MINUS, **dict.fromkeys(range(1, _MAX_N // 2 + 1), _CLOSER)}
 
-    >>> _key_and_ends(Clan("1+-1"))
-    ((0, 1, 1, 2, 0, 0, 1, 2, 1, 1, 2, 1, 2, 2), [4, 0, 0, 0])
+
+def _ones(codes) -> bytes:
+    """The translate table that sends the bytes in codes to 1, all others to 0."""
+    return bytes(x in codes for x in range(256))
+
+
+def _key_columns(clans, n: int, q: int) -> tuple[list[bytes], list[bytes]]:
+    """The key columns and the arc-end columns of a family of (p,q)-clans,
+    n = p + q: byte c of each column is the entry of clans[c].  The key is
+    plus_counts || minus_counts || (q - pair_matrix[i][j] for i < j), the
+    arc ends r (see the module docstring); ``clans.statistics`` is the
+    reference.
+
+    >>> key, ends = _key_columns([Clan("1+-1"), Clan("+-11")], 4, 2)
+    >>> [list(c) for c in zip(*key)], [list(c) for c in zip(*ends)]
+    ([[0, 1, 1, 2, 0, 0, 1, 2, 1, 1, 2, 1, 2, 2], [1, 1, 1, 2, 0, 1, 1, 2, 2, 2, 2, 2, 2, 2]], [[4, 0, 0, 0], [0, 0, 4, 0]])
     """
-    n, q = clan.n, clan.q
-    ends = [0] * n
-    start: dict[int, int] = {}
-    plus_counts = []
-    minus_counts = []
-    pluses = minuses = 0
-    for pos, c in enumerate(clan.symbols, 1):
-        if c == PLUS:
-            pluses += 1
-        elif c == MINUS:
-            minuses += 1
-        elif c in start:
-            ends[start[c] - 1] = pos
-            # a completed pair counts as both a plus and a minus
-            pluses += 1
-            minuses += 1
-        else:
-            start[c] = pos
-        plus_counts.append(pluses)
-        minus_counts.append(minuses)
-    # pairs[i][j] = q - #{arcs (s, t) : s <= i < j < t}: walk i left to
-    # right keeping the open ends t > i, then drop them as j passes them
-    pairs = []
-    open_ends: set[int] = set()
+    rows = []
+    for clan in clans:
+        symbols = clan.symbols
+        row = bytearray(map(_CODES.__getitem__, symbols))
+        s = -1
+        # canonical labels open in increasing order: label k opens after k - 1
+        for label in range(1, row.count(_CLOSER) // 2 + 1):
+            s = symbols.index(label, s + 1)
+            row[s] = symbols.index(label, s + 1) + 1
+        rows.append(row)
+    joined = b"".join(rows)
+    columns = [joined[pos::n] for pos in range(n)]
+    # byte c of an integer is lane c; every lane stays <= n < 256, so the
+    # running sums below never carry from one lane into the next
+    size = len(rows)
+    key = []
+    # a closed pair counts as both a plus and a minus
+    for counted in ((_PLUS, _CLOSER), (_MINUS, _CLOSER)):
+        table = _ones(counted)
+        total = 0
+        for column in columns:
+            total += int.from_bytes(column.translate(table), "little")
+            key.append(total.to_bytes(size, "little"))
+    # pairs[i][j] = q - #{s <= i : end(s) > j}, one running sum over i per j
+    ends_above = [_ones(range(j + 1, n + 1)) for j in range(n + 1)]
+    qs = int.from_bytes(bytes([q]) * size, "little")
+    crossing = [0] * (n + 1)
     for i in range(1, n):
-        t = ends[i - 1]
-        if t:
-            open_ends.add(t)
-        open_ends.discard(i)
-        inside = len(open_ends)
         for j in range(i + 1, n + 1):
-            inside -= j in open_ends
-            pairs.append(q - inside)
-    return tuple(plus_counts) + tuple(minus_counts) + tuple(pairs), ends
+            crossing[j] += int.from_bytes(columns[i - 1].translate(ends_above[j]), "little")
+            key.append((qs - crossing[j]).to_bytes(size, "little"))
+    arc_ends = bytes(range(n + 1)) + bytes(255 - n)
+    return key, [column.translate(arc_ends) for column in columns]
 
 
 class InclusionPoset:
@@ -130,6 +152,11 @@ class InclusionPoset:
 
     ``up[i]`` has bit j set iff clans[i] <= clans[j], and ``down`` is its
     transpose; both include the diagonal.  ``index`` maps a clan to its bit.
+    Both come from threshold masks on the key columns: ``up`` from the masks
+    themselves, ``down`` from their complements (see the module docstring).
+
+    Raises ValueError for an empty family, for clans of more than one shape
+    (p,q), and for n = p + q > 252, where the byte codes run out.
 
     >>> poset = inclusion_poset(1, 1)
     >>> [str(c) for c in poset.clans], poset.up
@@ -142,28 +169,43 @@ class InclusionPoset:
 
     def __init__(self, clans) -> None:
         self.clans: tuple[Clan, ...] = tuple(clans)
+        shapes = {(c.p, c.q) for c in self.clans}
+        if len(shapes) != 1:
+            raise ValueError(f"need a nonempty family of clans of one shape (p,q), got {sorted(shapes)}")
+        ((p, q),) = shapes
+        n = p + q
+        if n > _MAX_N:
+            raise ValueError(f"need n = p + q <= {_MAX_N}, got (p,q)=({p},{q})")
         self.index = {c: i for i, c in enumerate(self.clans)}
-        self.full = (1 << len(self.clans)) - 1
-        n = self.clans[0].n
-        keys = []
-        ends = []
-        for c in self.clans:
-            key, r = _key_and_ends(c)
-            keys.append(key)
-            ends.append(r)
+        self.full = full = (1 << len(self.clans)) - 1
+        key, ends = _key_columns(self.clans, n, q)
         # a constant coordinate gives an all-ones mask at every query
-        columns = [col for col in zip(*keys) if min(col) != max(col)]
-        rows = list(zip(*columns)) or [()] * len(self.clans)
+        columns = [col for col in key if min(col) != max(col)]
         masks = _threshold_masks(columns, n)
-        self.up = tuple(_below(masks, row, self.full) for row in rows)
-        masks = _threshold_masks([[n - v for v in col] for col in columns], n)
-        self.down = tuple(_below(masks, [n - v for v in row], self.full) for row in rows)
-        self._arc_ends = _threshold_masks(zip(*ends), n)
+        # the clans with entry >= v at f: all of them at v = 0, else the
+        # complement of those with entry <= v - 1
+        at_least = [[full] + [full ^ m for m in row[:-1]] for row in masks]
+        # one row per clan even when no coordinate is left
+        rows = zip(*columns) if columns else [()] * len(self.clans)
+        up = []
+        down = []
+        for row in rows:
+            up.append(_below(masks, row, full))
+            down.append(_below(at_least, row, full))
+        self.up = tuple(up)
+        self.down = tuple(down)
+        self._arc_ends = _threshold_masks(ends, n)
 
     def contained(self, m) -> int:
         """The bitmask of the clans whose orbit closure lies in the
         Hessenberg variety of m, which must be a Hessenberg vector of
-        length n (see ``hessenberg.is_hessenberg_vector``)."""
+        length n (see ``hessenberg.is_hessenberg_vector``).
+
+        Raises ValueError unless m has n entries, each in 0..n.
+        """
+        n = len(self._arc_ends)
+        if len(m) != n or min(m) < 0 or max(m) > n:
+            raise ValueError(f"need a vector of {n} entries in 0..{n}, got {m!r}")
         return _below(self._arc_ends, m, self.full)
 
     def _check(self, mask: int) -> None:
@@ -226,7 +268,8 @@ def inclusion_poset(p: int, q: int) -> InclusionPoset:
     """The inclusion order on all (p,q)-clans, in ``enumerate_clans`` order.
 
     The cache holds the two most recent shapes, since one poset at (5,5)
-    takes about 0.5 GB (515 MB measured); (6,5) would need about 7.5 GB.
+    takes about 0.5 GB (453 MB peak RSS in its build); (6,5) would need about
+    7.5 GB.
     """
     return InclusionPoset(enumerate_clans(p, q))
 

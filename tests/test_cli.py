@@ -6,9 +6,10 @@ import pytest
 
 from clanhess import verify
 from clanhess.cli import main
-from clanhess.clans import clan_from_json
+from clanhess.clans import clan_from_json, interval_clans
 from clanhess.perms import parse_permutation
 from clanhess.schubert import SchubertExpansion
+from test_poset import _inclusion_hasse
 
 
 def run(capsys, *argv):
@@ -122,6 +123,17 @@ def test_poset_inclusion_json(capsys):
     data = json.loads(lines[0])
     assert data["nodes"] == ["+-", "-+", "11"]
     assert {(c["source"], c["target"]) for c in data["covers"]} == {("+-", "11"), ("-+", "11")}
+
+
+def test_poset_inclusion_interval_covers_match_transitive_reduction(capsys):
+    status, lines = run(capsys, "poset", "inclusion", "--p", "3", "--q", "3", "--interval", "--format", "json")
+    assert status == 0
+    data = json.loads(lines[0])
+    nodes = interval_clans(3, 3)
+    assert data["nodes"] == [str(c) for c in nodes]
+    want = [(str(a), str(b)) for a, b in _inclusion_hasse(list(nodes))]
+    assert want
+    assert [(c["source"], c["target"]) for c in data["covers"]] == want
 
 
 def test_monk_cohomology_vs_stable(capsys):

@@ -6,11 +6,12 @@ import random
 import pytest
 
 from clanhess import clans as clans_mod
-from clanhess.clans import enumerate_clans, inclusion_leq, interval_clans, statistics
+from clanhess.clans import Clan, enumerate_clans, inclusion_leq, interval_clans, statistics
 from clanhess.hessenberg import hess_orbit_report, hessenberg_vectors, orbit_in_hess
-from clanhess.poset import InclusionPoset, _key_and_ends, inclusion_poset, members
+from clanhess.poset import InclusionPoset, _key_columns, inclusion_poset, members
 
 SHAPES_UP_TO_6 = [(n - q, q) for n in range(2, 7) for q in range(1, n // 2 + 1)]
+SHAPES_UP_TO_7 = [(n - q, q) for n in range(2, 8) for q in range(1, n // 2 + 1)]
 SHAPES_UP_TO_8 = [(n - q, q) for n in range(2, 9) for q in range(1, n // 2 + 1)]
 
 
@@ -78,24 +79,69 @@ def test_masks_outside_the_family_are_rejected(mask):
 @pytest.mark.parametrize("p,q", SHAPES_UP_TO_8)
 def test_keys_agree_with_statistics(p, q):
     n = p + q
-    for clan in enumerate_clans(p, q):
+    clans = enumerate_clans(p, q)
+    key, ends = _key_columns(clans, n, q)
+    # byte c of every column belongs to clans[c]
+    assert {len(col) for col in key + ends} == {len(clans)}
+    for clan, got_key, got_ends in zip(clans, zip(*key), zip(*ends)):
         st = statistics(clan)
         pairs = tuple(q - st.pair_matrix[i][j] for i in range(n) for j in range(i + 1, n))
-        ends = [0] * n
+        want_ends = [0] * n
         for i, j in clan.arcs:
-            ends[i - 1] = j
-        assert _key_and_ends(clan) == (st.plus_counts + st.minus_counts + pairs, ends)
+            want_ends[i - 1] = j
+        assert got_key == st.plus_counts + st.minus_counts + pairs
+        assert list(got_ends) == want_ends
+
+
+def _assert_up_and_down_agree_with_inclusion_leq(poset):
+    for i, a in enumerate(poset.clans):
+        assert poset.index[a] == i
+        want = sum(1 << j for j, b in enumerate(poset.clans) if inclusion_leq(a, b))
+        assert poset.up[i] == want
+        assert poset.down[i] == sum(1 << j for j, row in enumerate(poset.up) if (row >> i) & 1)
 
 
 @pytest.mark.parametrize("p,q", SHAPES_UP_TO_6)
 def test_up_and_down_agree_with_inclusion_leq(p, q, cached_statistics):
     poset = inclusion_poset(p, q)
     assert poset.clans == enumerate_clans(p, q)
-    for i, a in enumerate(poset.clans):
-        assert poset.index[a] == i
-        want = sum(1 << j for j, b in enumerate(poset.clans) if inclusion_leq(a, b))
-        assert poset.up[i] == want
-        assert poset.down[i] == sum(1 << j for j, row in enumerate(poset.up) if (row >> i) & 1)
+    _assert_up_and_down_agree_with_inclusion_leq(poset)
+
+
+@pytest.mark.parametrize("p,q", SHAPES_UP_TO_7)
+def test_up_and_down_on_interval_and_random_families(p, q, cached_statistics):
+    """Families that are not contiguous in enumeration order, nor sorted,
+    of sizes that are mostly not a multiple of 8."""
+    _assert_up_and_down_agree_with_inclusion_leq(InclusionPoset(interval_clans(p, q)))
+    everything = enumerate_clans(p, q)
+    rng = random.Random(p * 10 + q)
+    sizes = {1, 2, 7, 9, 61, 203}
+    for size in sorted(k for k in sizes if k < len(everything)):
+        family = rng.sample(everything, size)
+        poset = InclusionPoset(family)
+        assert poset.clans == tuple(family)
+        _assert_up_and_down_agree_with_inclusion_leq(poset)
+
+
+def test_families_the_kernel_cannot_build_are_rejected():
+    with pytest.raises(ValueError, match="nonempty family"):
+        InclusionPoset([])
+    with pytest.raises(ValueError, match=r"one shape \(p,q\), got \[\(2, 2\), \(3, 1\)\]"):
+        InclusionPoset(enumerate_clans(3, 1) + enumerate_clans(2, 2))
+    with pytest.raises(ValueError, match="one shape"):
+        InclusionPoset(enumerate_clans(2, 1) + enumerate_clans(3, 1))
+    # n = 252 still builds; n = 253 has no byte codes left
+    assert InclusionPoset([Clan("+" * 251 + "-")]).up == (1,)
+    with pytest.raises(ValueError, match=r"n = p \+ q <= 252, got \(p,q\)=\(252,1\)"):
+        InclusionPoset([Clan("+" * 252 + "-")])
+
+
+@pytest.mark.parametrize("m", [(1, 2), (1, 2, 3, 4, 5, 5), (), (2, 2, 6, 4, 5), (-1, 2, 3, 4, 5)])
+def test_contained_rejects_vectors_of_the_wrong_shape(m):
+    poset = inclusion_poset(3, 2)
+    assert bin(poset.contained((1, 2, 3, 4, 5))).count("1") == 10
+    with pytest.raises(ValueError, match="need a vector of 5 entries in 0..5"):
+        poset.contained(m)
 
 
 @pytest.mark.parametrize("p,q", SHAPES_UP_TO_6)
