@@ -288,13 +288,15 @@ def _cmd_scan(args) -> tuple[int, list[str]]:
     p, q = _validated_shape(args)
     n = p + q
     max_m = args.max_m if args.max_m is not None else n - 1
+    if not 1 <= max_m <= n - 1:
+        raise ValueError(f"--max-m must lie in 1..{n - 1} at (p,q)=({p},{q}), got {max_m}")
     cache: dict = {}
     lines = []
     products = 0
     violations = 0
     for clan in enumerate_clans(p, q):
         expansion = brion_class(clan, cache)
-        for m in range(1, min(max_m, n - 1) + 1):
+        for m in range(1, max_m + 1):
             products += 1
             product = monk_product(m, expansion, n=n)
             bad = {w: c for w, c in product.coeffs.items() if c != 1}
@@ -322,6 +324,10 @@ _VERIFY_TARGETS = {
 
 
 def _cmd_verify(args) -> tuple[int, list[str]]:
+    if args.max_n is not None and args.max_n < 2:
+        raise ValueError(
+            f"--max-n must be at least 2, the p + q of the smallest shape (1,1), got {args.max_n}"
+        )
     checks = dict(verify_mod.CRITERIA)
     # without --max-n, each exhaustive scan keeps its own default limit
     limit = {} if args.max_n is None else {"max_total": args.max_n}
@@ -404,7 +410,9 @@ def _build_parser() -> _Parser:
     scan = sub.add_parser("scan", help="exploratory scans")
     scan_sub = scan.add_subparsers(dest="scan_command", required=True)
     mf = scan_sub.add_parser("multfree", help="search divisor products for multiplicity >= 2")
-    mf.add_argument("--max-m", type=int, default=None, help="largest divisor index to try")
+    mf.add_argument(
+        "--max-m", type=int, default=None, help="largest divisor index to try, 1 <= m < p + q (default: p + q - 1)"
+    )
     common(mf, formats=())
 
     ver = sub.add_parser("verify", help="run verification criteria")
@@ -413,7 +421,7 @@ def _build_parser() -> _Parser:
         "--max-n",
         type=int,
         default=None,
-        help="largest p + q for exhaustive scans (default: 7 for the classification, "
+        help="largest p + q for exhaustive scans, at least 2 (default: 7 for the classification, "
         "6 for the geometric oracle, which never scans past 6)",
     )
     ver.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")

@@ -28,6 +28,8 @@ __all__ = [
     "render_word",
 ]
 
+_setattr = object.__setattr__  # the frozen dataclass sets its fields through this
+
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Permutation:
@@ -51,10 +53,14 @@ class Permutation:
 
     def __post_init__(self) -> None:
         images = tuple(map(int, self.images))
-        object.__setattr__(self, "images", images)
+        _setattr(self, "images", images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..n: {images!r}")
-        object.__setattr__(self, "key", trim_fixed_points(images))
+        # trim_fixed_points inline: this runs for every Permutation built
+        end = len(images)
+        while end and images[end - 1] == end:
+            end -= 1
+        _setattr(self, "key", images[:end])
 
     # -- construction -------------------------------------------------------
 

@@ -72,13 +72,13 @@ def members(mask: int) -> list[int]:
 
 def _threshold_masks(columns, top: int) -> list[list[int]]:
     """masks[f][v] = the bitmask of the indices c with columns[f][c] <= v,
-    for 0 <= v <= top.  Entries must lie in range(256)."""
+    for 0 <= v <= top.  Each column is a bytes object."""
     # tables[v] translates each byte x to "1" if x <= v, else to "0"
     tables = [b"1" * (v + 1) + b"0" * (255 - v) for v in range(top + 1)]
     masks = []
     for column in columns:
         # bit c of int(text, 2) is the character at len - 1 - c
-        text = bytes(reversed(column))
+        text = column[::-1]
         masks.append([int(text.translate(table), 2) for table in tables])
     return masks
 

@@ -226,6 +226,17 @@ def schubert_polynomial(w: Permutation) -> IntPolynomial:
     return poly
 
 
+def _is_normal(coeffs: dict) -> bool:
+    """True when no coefficient is zero and every key is already trimmed,
+    as in every expansion that brion_class and monk_product build."""
+    if 0 in coeffs.values():
+        return False
+    for w in coeffs:
+        if len(w.key) != len(w.images):
+            return False
+    return True
+
+
 class SchubertExpansion:
     """An integer combination of Schubert polynomials, keyed by permutation:
     the keys are trimmed and distinct, and no coefficient is zero.
@@ -237,8 +248,14 @@ class SchubertExpansion:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict | None = None) -> None:
-        # keys are distinct under Permutation equality, so no two terms merge
-        self.coeffs = {w.trimmed(): c for w, c in (coeffs or {}).items() if c}
+        coeffs = coeffs or {}
+        if _is_normal(coeffs):
+            # a C-level copy: it reuses the stored hashes, and the caller's
+            # dict stays the caller's
+            self.coeffs = dict(coeffs)
+        else:
+            # keys are distinct under Permutation equality, so no two terms merge
+            self.coeffs = {w.trimmed(): c for w, c in coeffs.items() if c}
 
     def items(self) -> list[tuple[Permutation, int]]:
         """Terms sorted by length, then by one-line notation."""

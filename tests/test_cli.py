@@ -164,6 +164,17 @@ def test_scan_multfree_reports_absence(capsys):
     assert lines == ["no multiplicity >= 2 in 3 divisor products at (p,q)=(1,1)"]
 
 
+def test_scan_multfree_rejects_max_m_outside_range(capsys):
+    for bad in ("0", "-1", "5", "99"):
+        assert main(["scan", "multfree", "--p", "3", "--q", "2", "--max-m", bad]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"clanhess: error: --max-m must lie in 1..4 at (p,q)=(3,2), got {bad}\n"
+    status, lines = run(capsys, "scan", "multfree", "--p", "3", "--q", "2", "--max-m", "4")
+    assert status == 0
+    assert lines == ["no multiplicity >= 2 in 220 divisor products at (p,q)=(3,2)"]
+
+
 def test_verify_subset_passes(capsys):
     status, lines = run(capsys, "verify", "wsets")
     assert status == 0
@@ -177,6 +188,17 @@ def test_verify_oracle_reports_the_clamp(capsys):
     status, lines = run(capsys, "verify", "oracle")
     assert status == 0
     assert "agreements across p + q <= 6, " in lines[0] and "clamped" not in lines[0]
+
+
+def test_verify_rejects_max_n_below_2(capsys):
+    for target, bad in (("all", "0"), ("all", "-2"), ("oracle", "1"), ("wsets", "1")):
+        assert main(["verify", target, "--max-n", bad]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--max-n must be at least 2" in err and "(1,1)" in err and err.endswith(f"got {bad}\n")
+    status, lines = run(capsys, "verify", "irreducible", "--max-n", "2")
+    assert status == 0
+    assert lines[0].startswith("PASS criterion 2 (irreducible-classification): 1 shapes,")
 
 
 def test_verify_failure_exits_2(capsys, monkeypatch):

@@ -1,7 +1,9 @@
 """Symmetric group basics, checked against brute-force oracles."""
 
+import copy
 import itertools
 import math
+import pickle
 
 import pytest
 
@@ -17,8 +19,11 @@ from clanhess.perms import (
     render_permutation,
     render_word,
     symmetric_group,
+    trim_fixed_points,
     weak_order_leq,
 )
+from clanhess.clans import Clan
+from clanhess.schubert import SchubertExpansion, brion_class, monk_product
 
 
 def brute_inversions(images):
@@ -37,6 +42,44 @@ def test_validation_rejects_non_bijections():
         Permutation((0, 1))
     with pytest.raises(ValueError):
         Permutation((2, 3))
+
+
+def test_key_is_the_trimmed_one_line_notation():
+    # __post_init__ trims inline; trim_fixed_points is the reference
+    for w in symmetric_group(6):
+        for extra in range(3):
+            images = w.images + tuple(range(7, 7 + extra))
+            assert Permutation(images).key == trim_fixed_points(images)
+
+
+def test_post_init_runs_once_per_permutation(monkeypatch):
+    # the benchmark's tracer counts Permutation builds by wrapping __post_init__
+    calls = []
+    original = Permutation.__post_init__
+
+    def counted(self):
+        calls.append(1)
+        original(self)
+
+    monkeypatch.setattr(Permutation, "__post_init__", counted)
+    built = [Permutation(w) for w in itertools.permutations(range(1, 5))]
+    assert len(calls) == len(built) == 24
+    # a Monk product builds each distinct result term once, and the
+    # expansion constructor builds none
+    expansion = brion_class(Clan("1+2-12"))
+    calls.clear()
+    product = monk_product(2, expansion, n=6)
+    assert len(calls) == len(product.coeffs) > 0
+    calls.clear()
+    SchubertExpansion(product.coeffs)
+    assert calls == []
+
+
+def test_copy_and_pickle_round_trips():
+    for w in (Permutation(()), Permutation((2, 1, 3)), Permutation((3, 1, 2, 4, 5))):
+        for twin in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+            assert twin == w and hash(twin) == hash(w)
+            assert (twin.images, twin.key) == (w.images, w.key)
 
 
 def test_length_against_inversion_count():

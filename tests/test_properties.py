@@ -103,6 +103,17 @@ def test_expansion_keys_are_trimmed_and_coefficients_nonzero(terms):
     got = SchubertExpansion(coeffs).coeffs
     assert got == merged_terms(coeffs)
     assert all(w.images == w.key and c for w, c in got.items())
+    # input that is already normal is copied as it is, with no trimming,
+    # and the copy does not alias the caller's dict
+    normal = merged_terms(coeffs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Permutation, "trimmed", None)  # a call would raise
+        expansion = SchubertExpansion(normal)
+    assert expansion.coeffs == normal and expansion.coeffs is not normal
+    expected = dict(normal)
+    normal.clear()
+    normal[Permutation((2, 1))] = 7
+    assert expansion.coeffs == expected
 
 
 @st.composite
