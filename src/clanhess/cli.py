@@ -324,10 +324,8 @@ _VERIFY_TARGETS = {
 
 
 def _cmd_verify(args) -> tuple[int, list[str]]:
-    if args.max_n is not None and args.max_n < 2:
-        raise ValueError(
-            f"--max-n must be at least 2, the p + q of the smallest shape (1,1), got {args.max_n}"
-        )
+    if args.max_n is not None:
+        verify_mod.check_max_total(args.max_n, "--max-n")
     checks = dict(verify_mod.CRITERIA)
     # without --max-n, each exhaustive scan keeps its own default limit
     limit = {} if args.max_n is None else {"max_total": args.max_n}

@@ -14,9 +14,10 @@ permutations w in S_q.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from .clans import Clan, as_interval_permutation, clan_to_json, gamma_w
+from .clans import Clan, as_interval_permutation, clan_sort_key, clan_to_json, gamma_w
 from .perms import Permutation, avoids, render_permutation, symmetric_group
 from .poset import inclusion_poset
 
@@ -144,7 +145,7 @@ def hess_orbit_report(p: int, q: int, m) -> HessOrbitReport:
     if not is_hessenberg_vector(m, p + q):
         raise ValueError(f"not a Hessenberg vector of length {p + q}: {m!r}")
     poset = inclusion_poset(p, q)
-    mask = poset.contained(m)
+    mask = poset._contained(m)
     maximal = tuple(map(poset.clans.__getitem__, poset.maximal(mask)))
     irreducible = len(maximal) == 1
     witness = as_interval_permutation(maximal[0]) if irreducible else None
@@ -208,7 +209,8 @@ def lower_ideal_check(w: Permutation, p: int) -> bool:
     clans below gamma_w in inclusion order."""
     m = m_of_w(w, p)
     poset = inclusion_poset(p, w.degree)
-    return poset.contained(m) == poset.down[poset.index[gamma_w(w, p)]]
+    at = bisect_left(poset.clans, clan_sort_key(gamma_w(w, p)), key=clan_sort_key)
+    return poset.contained(m) == poset.down[at]
 
 
 def catalan(n: int) -> int:

@@ -201,6 +201,15 @@ def test_verify_rejects_max_n_below_2(capsys):
     assert lines[0].startswith("PASS criterion 2 (irreducible-classification): 1 shapes,")
 
 
+@pytest.mark.parametrize("check", [verify.irreducibility_checks, verify.oracle_checks])
+@pytest.mark.parametrize("bad", [1, 0, -2])
+def test_exhaustive_scans_reject_max_total_below_2(check, bad):
+    # below 2 no shape is scanned, and a PASS would be vacuous
+    with pytest.raises(ValueError, match=f"max_total must be at least 2, .*\\(1,1\\), got {bad}$"):
+        check(max_total=bad)
+    assert check(max_total=2).passed
+
+
 def test_verify_failure_exits_2(capsys, monkeypatch):
     def failing():
         return verify.CheckResult("w-set-bijection", False, "forced failure", 0.0)

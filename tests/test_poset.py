@@ -22,14 +22,15 @@ def cached_statistics(monkeypatch):
     monkeypatch.setattr(clans_mod, "statistics", functools.cache(clans_mod.statistics))
 
 
+def _leq_up_sets(nodes):
+    """up[i] has bit j set iff inclusion_leq(nodes[i], nodes[j]), pair by pair."""
+    return [sum(1 << j for j, b in enumerate(nodes) if inclusion_leq(a, b)) for a in nodes]
+
+
 def _inclusion_hasse(nodes):
     """The transitive reduction of inclusion_leq on nodes, pair by pair."""
     size = len(nodes)
-    up = [0] * size
-    for i, a in enumerate(nodes):
-        for j, b in enumerate(nodes):
-            if inclusion_leq(a, b):
-                up[i] |= 1 << j
+    up = _leq_up_sets(nodes)
     down = [0] * size
     for i in range(size):
         for j in range(size):
@@ -94,11 +95,11 @@ def test_keys_agree_with_statistics(p, q):
 
 
 def _assert_up_and_down_agree_with_inclusion_leq(poset):
-    for i, a in enumerate(poset.clans):
-        assert poset.index[a] == i
-        want = sum(1 << j for j, b in enumerate(poset.clans) if inclusion_leq(a, b))
-        assert poset.up[i] == want
-        assert poset.down[i] == sum(1 << j for j, row in enumerate(poset.up) if (row >> i) & 1)
+    """down[j] is the down-set of clans[j] under inclusion_leq, so the
+    up-set of clans[i] is bit i across the rows."""
+    assert len(poset.down) == len(poset.clans)
+    for j, b in enumerate(poset.clans):
+        assert poset.down[j] == sum(1 << i for i, a in enumerate(poset.clans) if inclusion_leq(a, b))
 
 
 @pytest.mark.parametrize("p,q", SHAPES_UP_TO_6)
@@ -131,7 +132,7 @@ def test_families_the_kernel_cannot_build_are_rejected():
     with pytest.raises(ValueError, match="one shape"):
         InclusionPoset(enumerate_clans(2, 1) + enumerate_clans(3, 1))
     # n = 252 still builds; n = 253 has no byte codes left
-    assert InclusionPoset([Clan("+" * 251 + "-")]).up == (1,)
+    assert InclusionPoset([Clan("+" * 251 + "-")]).down == (1,)
     with pytest.raises(ValueError, match=r"n = p \+ q <= 252, got \(p,q\)=\(252,1\)"):
         InclusionPoset([Clan("+" * 252 + "-")])
 
@@ -154,14 +155,26 @@ def test_contained_agrees_with_orbit_in_hess(p, q):
 
 
 @pytest.mark.parametrize("p,q", [(3, 2), (3, 3), (4, 3)])
-def test_maximal_matches_its_definition(p, q):
+def test_maximal_matches_its_definition(p, q, cached_statistics):
     poset = inclusion_poset(p, q)
+    up = _leq_up_sets(poset.clans)
     rng = random.Random(p * 10 + q)
     masks = [poset.contained(m) for m in hessenberg_vectors(p + q)]
     masks += [rng.getrandbits(len(poset.clans)) for _ in range(50)]
     for mask in masks:
-        want = [i for i in members(mask) if poset.up[i] & mask == 1 << i]
+        want = [i for i in members(mask) if up[i] & mask == 1 << i]
         assert poset.maximal(mask) == want
+
+
+@pytest.mark.parametrize("p,q", SHAPES_UP_TO_7)
+def test_key_sum_strictly_decreases_up_the_order(p, q):
+    """The rank layers of ``maximal`` rest on this: clans[i] < clans[j]
+    implies sum(key(clans[j])) < sum(key(clans[i]))."""
+    poset = inclusion_poset(p, q)
+    key, _ = _key_columns(poset.clans, p + q, q)
+    ranks = [sum(row) for row in zip(*key)]
+    for j, below in enumerate(poset.down):
+        assert all(ranks[i] > ranks[j] for i in members(below ^ 1 << j))
 
 
 @pytest.mark.parametrize(

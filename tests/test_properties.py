@@ -35,6 +35,7 @@ from clanhess.flag_oracle import (  # noqa: E402
     random_k_element,
 )
 from clanhess.perms import Permutation  # noqa: E402
+from clanhess.poset import InclusionPoset  # noqa: E402
 from clanhess.schubert import SchubertExpansion, monk_product, product_oracle  # noqa: E402
 from clanhess.weak_order import _SWAP, covers_from  # noqa: E402
 
@@ -242,3 +243,32 @@ def test_covers_step_by_one_and_refine_inclusion(clan):
         assert orbit_dimension(cov.target) == orbit_dimension(clan) + 1
         assert clan_length(cov.target) == clan_length(clan) + 1
         assert inclusion_leq(clan, cov.target)
+
+
+@st.composite
+def families_and_masks(draw, max_total):
+    """A family of distinct clans of one shape with p + q <= max_total, in
+    random order, and a random mask over it."""
+    n = draw(st.integers(2, max_total))
+    q = draw(st.integers(1, n // 2))
+    everything = enumerate_clans(n - q, q)
+    family = draw(st.lists(st.sampled_from(everything), min_size=1, max_size=40, unique=True))
+    return family, draw(st.integers(0, (1 << len(family)) - 1))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(families_and_masks(8))
+def test_maximal_and_covers_match_their_definitions(family_and_mask):
+    family, mask = family_and_mask
+    poset = InclusionPoset(family)
+    size = len(family)
+    less = [[i != j and inclusion_leq(a, b) for j, b in enumerate(family)] for i, a in enumerate(family)]
+    chosen = [i for i in range(size) if mask >> i & 1]
+    assert poset.maximal(mask) == [i for i in chosen if not any(less[i][j] for j in chosen)]
+    covers = [
+        (i, j)
+        for i in range(size)
+        for j in range(size)
+        if less[i][j] and not any(less[i][k] and less[k][j] for k in range(size))
+    ]
+    assert poset.covers() == covers
