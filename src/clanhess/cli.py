@@ -22,7 +22,8 @@ clan strings contain signs or repeated labels, one-line permutations never
 do).  Clan strings starting with ``-`` need the usual ``--`` separator,
 e.g. ``clanhess clans stats -- -+``.
 
-Exit codes: 0 success, 1 validation error, 2 verification failure.
+Exit codes: 0 success, 1 validation error or unwritable --out file,
+2 verification failure.
 All emitted sets are sorted (clans by symbol string, permutations by
 length then one-line notation) so output is diffable.
 """
@@ -443,17 +444,17 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    out = getattr(args, "out", None)
     try:
         status, lines = _HANDLERS[args.command](args)
-    except ValueError as exc:
+        text = "\n".join(lines)
+        if out:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+    except (ValueError, OSError) as exc:
         print(f"clanhess: error: {exc}", file=sys.stderr)
         return 1
-    text = "\n".join(lines)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    elif text:
+    if text and not out:
         print(text)
     return status
 

@@ -25,6 +25,11 @@ with p >= q and x = diag(0^p, 1^q):
   v_i = e_{k+r} + e_{p+s+u} and v_j = e_{k+r} - e_{p+s+u}, where r counts
   pluses before i, s counts minuses before j, and u counts pairs completed
   within c_1 ... c_j, this one included.
+
+:func:`flag_representative` reads the flag in one left-to-right pass,
+keeping these four counts (pluses, minuses, labels started and labels
+completed) as it goes; a pair's two vectors are written at its second
+occurrence.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .clans import PLUS, Clan
-from .hessenberg import is_hessenberg_vector
+from .hessenberg import _hessenberg_vector
 
 __all__ = [
     "FlagBasis",
@@ -68,53 +73,26 @@ def flag_representative(clan: Clan) -> FlagBasis:
     ((1, 1), (1, -1))
     """
     n, p = clan.n, clan.p
-    first: dict[int, int] = {}
-    completed_at: list[int] = [0] * (n + 1)  # prefix counts of completed pairs
-    started_at: list[int] = [0] * (n + 1)  # prefix counts of started pairs
-    plus_at: list[int] = [0] * (n + 1)
-    minus_at: list[int] = [0] * (n + 1)
-    for i, c in enumerate(clan.symbols, 1):
-        completed_at[i] = completed_at[i - 1]
-        started_at[i] = started_at[i - 1]
-        plus_at[i] = plus_at[i - 1]
-        minus_at[i] = minus_at[i - 1]
-        if isinstance(c, int):
-            if c in first:
-                completed_at[i] += 1
-            else:
-                first[c] = i
-                started_at[i] += 1
-        elif c == PLUS:
-            plus_at[i] += 1
-        else:
-            minus_at[i] += 1
-
-    vectors: list[tuple[int, ...]] = []
-    for i, c in enumerate(clan.symbols, 1):
-        vec = [0] * n
+    rows = [[0] * n for _ in range(n)]
+    opened: dict[int, tuple[int, int]] = {}  # label -> (its first row, its plus coordinate)
+    pluses = minuses = started = completed = 0  # counted before symbol i; coordinates 0-based
+    for i, c in enumerate(clan.symbols):
         if c == PLUS:
-            k = plus_at[i]
-            vec[k + started_at[i - 1] - 1] = 1
+            rows[i][pluses + started] = 1
+            pluses += 1
         elif not isinstance(c, int):
-            k = minus_at[i]
-            vec[p + k + completed_at[i - 1] - 1] = 1
+            rows[i][p + minuses + completed] = 1
+            minuses += 1
+        elif c not in opened:
+            opened[c] = (i, pluses + started)
+            started += 1
         else:
-            k = c  # canonical labels are numbered by first occurrence
-            if first[c] == i:
-                j = i + next(
-                    off for off, d in enumerate(clan.symbols[i:], 1) if d == c
-                )
-                sign = 1
-            else:
-                j = i
-                sign = -1
-            r = plus_at[first[c] - 1]
-            s = minus_at[j - 1]
-            u = completed_at[j]
-            vec[k + r - 1] = 1
-            vec[p + s + u - 1] = sign
-        vectors.append(tuple(vec))
-    return FlagBasis(p, clan.q, tuple(vectors))
+            first, a = opened[c]
+            completed += 1
+            b = p + minuses + completed - 1
+            rows[first][a] = rows[first][b] = rows[i][a] = 1
+            rows[i][b] = -1
+    return FlagBasis(p, clan.q, tuple(map(tuple, rows)))
 
 
 def integer_rank(rows) -> int:
@@ -200,9 +178,7 @@ def geometric_membership(clan: Clan, m) -> bool:
     >>> geometric_membership(Clan("11"), (2, 2))
     True
     """
-    m = tuple(m)
-    if not is_hessenberg_vector(m, clan.n):
-        raise ValueError(f"not a Hessenberg vector of length {clan.n}: {m!r}")
+    m = _hessenberg_vector(m, clan.n)
     return _within(least_hessenberg_vector(clan), m)
 
 

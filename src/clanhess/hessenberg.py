@@ -58,6 +58,14 @@ def is_hessenberg_vector(m, n: int | None = None) -> bool:
     return size > 0
 
 
+def _hessenberg_vector(m, n: int) -> tuple[int, ...]:
+    """m as a tuple; ValueError unless it is a Hessenberg vector of length n."""
+    m = tuple(m)
+    if not is_hessenberg_vector(m, n):
+        raise ValueError(f"not a Hessenberg vector of length {n}: {m!r}")
+    return m
+
+
 def hessenberg_vectors(n: int):
     """Yield all Hessenberg vectors of length n in lexicographic order.
 
@@ -103,9 +111,7 @@ def orbit_in_hess(clan: Clan, m) -> bool:
     >>> orbit_in_hess(parse_clan("+1+-2+21"), (1, 7, 7, 7, 7, 7, 7, 8))
     False
     """
-    m = tuple(m)
-    if not is_hessenberg_vector(m, clan.n):
-        raise ValueError(f"not a Hessenberg vector of length {clan.n}: {m!r}")
+    m = _hessenberg_vector(m, clan.n)
     return all(m[i - 1] >= j for (i, j) in clan.arcs)
 
 
@@ -141,9 +147,7 @@ def hess_orbit_report(p: int, q: int, m) -> HessOrbitReport:
 
     Raises ValueError if m is not a Hessenberg vector of length p + q.
     """
-    m = tuple(m)
-    if not is_hessenberg_vector(m, p + q):
-        raise ValueError(f"not a Hessenberg vector of length {p + q}: {m!r}")
+    m = _hessenberg_vector(m, p + q)
     poset = inclusion_poset(p, q)
     mask = poset._contained(m)
     maximal = tuple(map(poset.clans.__getitem__, poset.maximal(mask)))
@@ -163,8 +167,8 @@ def m_of_w(w: Permutation, p: int) -> tuple[int, ...]:
     """
     q = w.degree
     n = p + q
-    if p < q:
-        raise ValueError(f"need p >= q = deg(w), got p={p}, q={q}")
+    if not 1 <= q <= p:
+        raise ValueError(f"need p >= q = deg(w) >= 1, got p={p}, q={q}")
     if not avoids(w, _PATTERN_231):
         raise ValueError(
             f"{render_permutation(w)} contains the pattern 231; "
@@ -187,7 +191,7 @@ def hess_dimension(w: Permutation, p: int) -> int:
     >>> hess_dimension(Permutation((2, 1, 3)), 3)
     13
     """
-    m_of_w(w, p)  # validates p >= q and 231-avoidance
+    m_of_w(w, p)  # validates p >= q >= 1 and 231-avoidance
     q = w.degree
     return w.length() + p * q + p * (p - 1) // 2
 

@@ -100,6 +100,15 @@ class CheckResult:
     seconds: float
 
 
+def _shapes(max_total: int) -> list[tuple[int, int]]:
+    """Every shape (p, q) with p >= q >= 1 and p + q <= max_total, by p + q, then q."""
+    return [(n - q, q) for n in range(2, max_total + 1) for q in range(1, n // 2 + 1)]
+
+
+# the desk grid of criteria 3, 5, 6 and 7: q <= 4 and q <= p <= q + 2
+_DESK_SHAPES = tuple((p, q) for q in range(1, 5) for p in range(q, q + 3))
+
+
 def _finish(name: str, problems: list[str], detail: str, t0: float) -> CheckResult:
     if problems:
         shown = "; ".join(problems[:3])
@@ -267,31 +276,32 @@ def irreducibility_checks(max_total: int = 7) -> CheckResult:
     check_max_total(max_total)
     t0 = time.perf_counter()
     problems: list[str] = []
-    shapes = 0
+    shapes = _shapes(max_total)
     vectors_checked = 0
-    for n in range(2, max_total + 1):
-        for q in range(1, n // 2 + 1):
-            p = n - q
-            shapes += 1
+    for p, q in shapes:
+        try:
             table = classify_irreducibles(p, q)  # raises if not Catalan(q), distinct
-            witness_by_m = {m: w for w, m in table.items()}
-            for m in hessenberg_vectors(n):
-                vectors_checked += 1
-                rep = hess_orbit_report(p, q, m)
-                want = m in witness_by_m
-                if rep.irreducible != want:
-                    problems.append(f"({p},{q}) m={m}: irreducible={rep.irreducible}, expected {want}")
-                    continue
-                if want:
-                    w = witness_by_m[m]
-                    if rep.witness != w:
-                        problems.append(f"({p},{q}) m={m}: wrong witness")
-                    if rep.maximal != (gamma_w(w, p),):
-                        problems.append(f"({p},{q}) m={m}: component is not gamma_w")
-                    if not lower_ideal_check(w, p):
-                        problems.append(f"({p},{q}) m={m}: contained set is not the lower ideal")
+        except AssertionError as exc:
+            problems.append(f"({p},{q}): classify_irreducibles failed: {exc}")
+            continue
+        witness_by_m = {m: w for w, m in table.items()}
+        for m in hessenberg_vectors(p + q):
+            vectors_checked += 1
+            rep = hess_orbit_report(p, q, m)
+            want = m in witness_by_m
+            if rep.irreducible != want:
+                problems.append(f"({p},{q}) m={m}: irreducible={rep.irreducible}, expected {want}")
+                continue
+            if want:
+                w = witness_by_m[m]
+                if rep.witness != w:
+                    problems.append(f"({p},{q}) m={m}: wrong witness")
+                if rep.maximal != (gamma_w(w, p),):
+                    problems.append(f"({p},{q}) m={m}: component is not gamma_w")
+                if not lower_ideal_check(w, p):
+                    problems.append(f"({p},{q}) m={m}: contained set is not the lower ideal")
     detail = (
-        f"{shapes} shapes, {vectors_checked} Hessenberg vectors: irreducible "
+        f"{len(shapes)} shapes, {vectors_checked} Hessenberg vectors: irreducible "
         "iff m = m(w) for 231-avoiding w, Catalan counts, unique component "
         "gamma_w, contained sets are lower ideals"
     )
@@ -309,21 +319,20 @@ def dimension_checks() -> CheckResult:
     problems: list[str] = []
     pattern = Permutation((2, 3, 1))
     checked = 0
-    for q in range(1, 5):
-        for p in range(q, q + 3):
-            for w in symmetric_group(q):
-                if not avoids(w, pattern):
-                    continue
-                checked += 1
-                closed_form = w.length() + p * q + p * (p - 1) // 2
-                values = {
-                    "closed form": closed_form,
-                    "hess_dimension": hess_dimension(w, p),
-                    "area": area(m_of_w(w, p)),
-                    "orbit_dimension": orbit_dimension(gamma_w(w, p)),
-                }
-                if len(set(values.values())) != 1:
-                    problems.append(f"({p},{q}) w={w.key}: {values}")
+    for p, q in _DESK_SHAPES:
+        for w in symmetric_group(q):
+            if not avoids(w, pattern):
+                continue
+            checked += 1
+            closed_form = w.length() + p * q + p * (p - 1) // 2
+            values = {
+                "closed form": closed_form,
+                "hess_dimension": hess_dimension(w, p),
+                "area": area(m_of_w(w, p)),
+                "orbit_dimension": orbit_dimension(gamma_w(w, p)),
+            }
+            if len(set(values.values())) != 1:
+                problems.append(f"({p},{q}) w={w.key}: {values}")
     detail = f"{checked} (w, p) pairs: length formula = area = orbit dimension exactly"
     return _finish("dimension-formulas", problems, detail, t0)
 
@@ -350,27 +359,25 @@ def oracle_checks(max_total: int = ORACLE_MAX_TOTAL, seed: int = 0) -> CheckResu
     agreements = 0
     spotchecks = 0
     scanned = min(max_total, ORACLE_MAX_TOTAL)
-    for n in range(2, scanned + 1):
-        for q in range(1, n // 2 + 1):
-            p = n - q
-            poset = inclusion_poset(p, q)
-            clans = poset.clans
-            vectors = list(hessenberg_vectors(n))
-            leasts = [least_hessenberg_vector(clan) for clan in clans]
-            for m in vectors:
-                geo = sum(1 << c for c, least in enumerate(leasts) if all(map(le, least, m)))
-                comb = poset.contained(m)
-                for c in members(geo ^ comb):
-                    problems.append(
-                        f"{render_clan(clans[c])} m={m}: "
-                        f"geometric={bool(geo >> c & 1)} arc={bool(comb >> c & 1)}"
-                    )
-                agreements += len(clans)
-            for clan in rng.sample(list(clans), min(3, len(clans))):
-                for m in rng.sample(vectors, min(2, len(vectors))):
-                    spotchecks += 1
-                    if not k_invariance_spotcheck(clan, m, trials=4, seed=rng.randrange(2**30)):
-                        problems.append(f"K-invariance failed for {render_clan(clan)} m={m}")
+    for p, q in _shapes(scanned):
+        poset = inclusion_poset(p, q)
+        clans = poset.clans
+        vectors = list(hessenberg_vectors(p + q))
+        leasts = [least_hessenberg_vector(clan) for clan in clans]
+        for m in vectors:
+            geo = sum(1 << c for c, least in enumerate(leasts) if all(map(le, least, m)))
+            comb = poset.contained(m)
+            for c in members(geo ^ comb):
+                problems.append(
+                    f"{render_clan(clans[c])} m={m}: "
+                    f"geometric={bool(geo >> c & 1)} arc={bool(comb >> c & 1)}"
+                )
+            agreements += len(clans)
+        for clan in rng.sample(list(clans), min(3, len(clans))):
+            for m in rng.sample(vectors, min(2, len(vectors))):
+                spotchecks += 1
+                if not k_invariance_spotcheck(clan, m, trials=4, seed=rng.randrange(2**30)):
+                    problems.append(f"K-invariance failed for {render_clan(clan)} m={m}")
     clamp = ""
     if scanned < max_total:
         clamp = f" (p + q <= {max_total} requested, clamped to {scanned})"
@@ -392,18 +399,17 @@ def wset_checks() -> CheckResult:
     t0 = time.perf_counter()
     problems: list[str] = []
     checked = 0
-    for q in range(1, 5):
-        for p in range(q, q + 3):
-            cache: dict = {}
-            for w in symmetric_group(q):
-                checked += 1
-                ws = w_set(gamma_w(w, p), cache)
-                expected = w_set_via_bijection(w, p)
-                if ws != expected:
-                    problems.append(f"({p},{q}) w={w.key}: W-set != bijection image")
-                pairs = factorization_pairs(w * Permutation.longest(q))
-                if len(ws) != len(pairs):
-                    problems.append(f"({p},{q}) w={w.key}: |W| = {len(ws)} != {len(pairs)} factorizations")
+    for p, q in _DESK_SHAPES:
+        cache: dict = {}
+        for w in symmetric_group(q):
+            checked += 1
+            ws = w_set(gamma_w(w, p), cache)
+            expected = w_set_via_bijection(w, p)
+            if ws != expected:
+                problems.append(f"({p},{q}) w={w.key}: W-set != bijection image")
+            pairs = factorization_pairs(w * Permutation.longest(q))
+            if len(ws) != len(pairs):
+                problems.append(f"({p},{q}) w={w.key}: |W| = {len(ws)} != {len(pairs)} factorizations")
     detail = f"{checked} (w, p) pairs: recursive W-set = bijection image, cardinalities match"
     return _finish("w-set-bijection", problems, detail, t0)
 
@@ -418,15 +424,9 @@ def two_sided_order_checks() -> CheckResult:
     weak order, which is strictly finer than Bruhat order."""
     t0 = time.perf_counter()
     problems: list[str] = []
-    shapes = 0
-    for q in range(1, 5):
-        for p in range(q, q + 3):
-            shapes += 1
-            try:
-                if not interval_iso_check(p, q):
-                    problems.append(f"({p},{q}): interval graph != weak order")
-            except AssertionError as exc:
-                problems.append(f"({p},{q}): {exc}")
+    for p, q in _DESK_SHAPES:
+        if not interval_iso_check(p, q):
+            problems.append(f"({p},{q}): interval graph != weak order")
     x = Permutation((3, 2, 1, 4))
     y = Permutation((3, 4, 1, 2))
     if x != Permutation.from_word((1, 2, 1)) or y != Permutation.from_word((2, 1, 3, 2)):
@@ -436,7 +436,7 @@ def two_sided_order_checks() -> CheckResult:
     if weak_order_leq(x, y, mode="two-sided"):
         problems.append("expected 3214 !<= 3412 in two-sided weak order")
     detail = (
-        f"{shapes} interval graphs isomorphic to two-sided weak order with "
+        f"{len(_DESK_SHAPES)} interval graphs isomorphic to two-sided weak order with "
         "matching labels; 3214 vs 3412 separates Bruhat from two-sided weak order"
     )
     return _finish("two-sided-order", problems, detail, t0)
@@ -453,17 +453,16 @@ def monk_checks() -> CheckResult:
     t0 = time.perf_counter()
     problems: list[str] = []
     products = 0
-    for q in range(1, 5):
-        for p in range(q, q + 3):
-            n = p + q
-            cache: dict = {}
-            for w in symmetric_group(q):
-                cls = brion_class(gamma_w(w, p), cache)
-                for m in range(1, n):
-                    products += 1
-                    got = monk_product(m, cls, n=n)
-                    if not is_multiplicity_free(got):
-                        problems.append(f"({p},{q}) w={w.key} m={m}: coefficients not all 1")
+    for p, q in _DESK_SHAPES:
+        n = p + q
+        cache: dict = {}
+        for w in symmetric_group(q):
+            cls = brion_class(gamma_w(w, p), cache)
+            for m in range(1, n):
+                products += 1
+                got = monk_product(m, cls, n=n)
+                if not is_multiplicity_free(got):
+                    problems.append(f"({p},{q}) w={w.key} m={m}: coefficients not all 1")
     oracle_products = 0
     for u in symmetric_group(4):
         single = SchubertExpansion({u: 1})
@@ -525,48 +524,46 @@ def structural_checks() -> CheckResult:
     covers_checked = 0
     poset_nodes = 0
     counts_checked = 0
-    for n in range(2, 9):
-        for q in range(1, n // 2 + 1):
-            p = n - q
-            poset = inclusion_poset(p, q)
-            clans, down = poset.clans, poset.down
-            counts_checked += 1
-            if len(clans) != clan_count(p, q):
-                problems.append(f"({p},{q}): enumeration count != closed form")
-            dims = [orbit_dimension(c) for c in clans]
-            # gradedness: every Hasse cover of inclusion raises the dimension by 1
-            for i, j in poset.covers():
+    for p, q in _shapes(8):
+        poset = inclusion_poset(p, q)
+        clans, down = poset.clans, poset.down
+        counts_checked += 1
+        if len(clans) != clan_count(p, q):
+            problems.append(f"({p},{q}): enumeration count != closed form")
+        dims = [orbit_dimension(c) for c in clans]
+        # gradedness: every Hasse cover of inclusion raises the dimension by 1
+        for i, j in poset.covers():
+            if dims[j] != dims[i] + 1:
+                problems.append(
+                    f"inclusion cover {render_clan(clans[i])} < {render_clan(clans[j])} "
+                    f"has dimension step {dims[j] - dims[i]}"
+                )
+        if p + q > 7:
+            continue
+        index = {c: i for i, c in enumerate(clans)}
+        for clan in clans:
+            for cov in covers_from(clan):
+                covers_checked += 1
+                i, j = index[cov.source], index[cov.target]
+                if not (down[j] >> i) & 1:
+                    problems.append(f"cover not an inclusion: {render_clan(cov.source)}")
                 if dims[j] != dims[i] + 1:
-                    problems.append(
-                        f"inclusion cover {render_clan(clans[i])} < {render_clan(clans[j])} "
-                        f"has dimension step {dims[j] - dims[i]}"
-                    )
-            if n > 7:
-                continue
-            index = {c: i for i, c in enumerate(clans)}
-            for clan in clans:
-                for cov in covers_from(clan):
-                    covers_checked += 1
-                    i, j = index[cov.source], index[cov.target]
-                    if not (down[j] >> i) & 1:
-                        problems.append(f"cover not an inclusion: {render_clan(cov.source)}")
-                    if dims[j] != dims[i] + 1:
-                        problems.append(f"cover dimension step != 1 at {render_clan(cov.source)}")
-                    if clan_length(cov.target) != clan_length(cov.source) + 1:
-                        problems.append(f"cover length step != 1 at {render_clan(cov.source)}")
-                    if set(cov.move_types) - set(MOVE_TYPES):
-                        problems.append(f"unknown move type at {render_clan(cov.source)}")
-            poset_nodes += len(clans)
-            for i, below in enumerate(down):
-                if not (below >> i) & 1:
-                    problems.append(f"({p},{q}): inclusion not reflexive")
-                rest = below & ~(1 << i)
-                while rest:
-                    j = (rest & -rest).bit_length() - 1
-                    rest &= rest - 1
-                    if (down[j] >> i) & 1 or down[j] & ~below:
-                        problems.append(f"({p},{q}): inclusion not antisymmetric or not transitive at {i},{j}")
-                        break
+                    problems.append(f"cover dimension step != 1 at {render_clan(cov.source)}")
+                if clan_length(cov.target) != clan_length(cov.source) + 1:
+                    problems.append(f"cover length step != 1 at {render_clan(cov.source)}")
+                if set(cov.move_types) - set(MOVE_TYPES):
+                    problems.append(f"unknown move type at {render_clan(cov.source)}")
+        poset_nodes += len(clans)
+        for i, below in enumerate(down):
+            if not (below >> i) & 1:
+                problems.append(f"({p},{q}): inclusion not reflexive")
+            rest = below & ~(1 << i)
+            while rest:
+                j = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                if (down[j] >> i) & 1 or down[j] & ~below:
+                    problems.append(f"({p},{q}): inclusion not antisymmetric or not transitive at {i},{j}")
+                    break
 
     for q in range(1, 5):
         p = 9 - q

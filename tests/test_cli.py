@@ -111,6 +111,13 @@ def test_hess_dim_rejects_231_pattern(capsys):
     assert status == 1
 
 
+def test_hess_dim_rejects_degree_0(capsys):
+    # (3,0) has no clans, so there is no m(w) to print
+    assert main(["hess", "dim", "[]", "--p", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "need p >= q = deg(w) >= 1, got p=3, q=0" in err
+
+
 def test_poset_weak_interval_dot(capsys):
     status, lines = run(capsys, "poset", "weak", "--p", "2", "--q", "2", "--interval", "--format", "dot")
     assert status == 0
@@ -222,6 +229,24 @@ def test_verify_failure_exits_2(capsys, monkeypatch):
     status, lines = run(capsys, "verify", "wsets")
     assert status == 2
     assert lines[0].startswith("FAIL criterion 5")
+
+
+def test_degenerate_classification_fails_criterion_2(capsys, monkeypatch):
+    def degenerate(p, q):
+        raise AssertionError(f"irreducible classification degenerate at ({p},{q})")
+
+    monkeypatch.setattr(verify, "classify_irreducibles", degenerate)
+    status, lines = run(capsys, "verify", "irreducible", "--max-n", "3")
+    assert status == 2
+    assert lines[0].startswith("FAIL criterion 2 (irreducible-classification): (1,1): ")
+    assert "degenerate at (2,1)" in lines[0]
+
+
+def test_out_to_unopenable_path_exits_1(tmp_path, capsys):
+    target = tmp_path / "missing" / "clans.txt"
+    assert main(["clans", "enumerate", "--p", "1", "--q", "1", "--out", str(target)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("clanhess: error: ") and str(target) in err
 
 
 def test_out_writes_file(tmp_path, capsys):

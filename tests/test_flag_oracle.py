@@ -5,7 +5,7 @@ import random
 import pytest
 
 from clanhess import flag_oracle
-from clanhess.clans import enumerate_clans, parse_clan
+from clanhess.clans import MINUS, PLUS, enumerate_clans, parse_clan
 from clanhess.flag_oracle import (
     _least_vector,
     _x_image,
@@ -80,6 +80,41 @@ def test_flag_representative_sign_strings():
     assert basis.vectors == (unit(3, 1), unit(3, 2), unit(3, 3))
     basis = flag_representative(parse_clan("-++"))
     assert basis.vectors == (unit(3, 3), unit(3, 1), unit(3, 2))
+
+
+def docstring_recipe(clan):
+    """The module docstring's recipe read literally, each count taken by
+    slicing the prefix it names (positions are 1-based, as there)."""
+    c, n, p = clan.symbols, clan.n, clan.p
+
+    def started(prefix):
+        return len({s for s in prefix if isinstance(s, int)})
+
+    def completed(prefix):
+        labels = [s for s in prefix if isinstance(s, int)]
+        return len(labels) - len(set(labels))
+
+    vectors = []
+    for i in range(1, n + 1):
+        if c[i - 1] == PLUS:
+            vectors.append(unit(n, c[:i].count(PLUS) + started(c[: i - 1])))
+        elif c[i - 1] == MINUS:
+            vectors.append(unit(n, p + c[:i].count(MINUS) + completed(c[: i - 1])))
+        else:
+            first = c.index(c[i - 1]) + 1
+            j = c.index(c[i - 1], first) + 1
+            k = started(c[:first])
+            r = c[: first - 1].count(PLUS)
+            s = c[: j - 1].count(MINUS)
+            u = completed(c[:j])
+            vectors.append(add(unit(n, k + r), unit(n, p + s + u, 1 if i == first else -1)))
+    return tuple(vectors)
+
+
+def test_flag_representative_is_the_docstring_recipe():
+    for p, q in shapes(8):
+        for clan in enumerate_clans(p, q):
+            assert flag_representative(clan).vectors == docstring_recipe(clan), clan
 
 
 def test_integer_rank():
