@@ -60,22 +60,14 @@ class Clan:
 
     def __init__(self, symbols) -> None:
         relabel: dict = {}
-        out: list = []
-        for c in symbols:
-            if c == PLUS or c == MINUS:
-                out.append(c)
-            else:
-                out.append(relabel.setdefault(c, len(relabel) + 1))
-        counts = [0] * len(relabel)
-        for c in out:
-            if isinstance(c, int):
-                counts[c - 1] += 1
-        if any(k != 2 for k in counts):
-            raise ValueError(f"every pair label must occur exactly twice: {symbols!r}")
+        out = tuple([
+            c if c == PLUS or c == MINUS else relabel.setdefault(c, len(relabel) + 1)
+            for c in symbols
+        ])
         ell = len(relabel)
-        s = out.count(PLUS)
-        t = out.count(MINUS)
-        p, q = ell + s, ell + t
+        if any(out.count(k) != 2 for k in range(1, ell + 1)):
+            raise ValueError(f"every pair label must occur exactly twice: {symbols!r}")
+        p, q = ell + out.count(PLUS), ell + out.count(MINUS)
         if q < 1:
             raise ValueError(f"need q >= 1, got (p,q)=({p},{q}): {symbols!r}")
         if p < q:
@@ -83,7 +75,7 @@ class Clan:
                 f"got (p,q)=({p},{q}) with p < q; transpose the clan "
                 f"(swap + and -) to land in the supported p >= q case"
             )
-        self.symbols = tuple(out)
+        self.symbols = out
         self.p = p
         self.q = q
 
@@ -173,10 +165,9 @@ def parse_clan(text: str, p: int | None = None, q: int | None = None) -> Clan:
 
 
 def render_clan(clan: Clan) -> str:
-    """Compact form when all labels are single digits, else token form."""
-    if all(not isinstance(c, int) or c <= 9 for c in clan.symbols):
-        return "".join(str(c) for c in clan.symbols)
-    return " ".join(str(c) for c in clan.symbols)
+    """Compact form when every symbol is one character, else token form."""
+    text = "".join(map(str, clan.symbols))
+    return text if len(text) == len(clan.symbols) else " ".join(map(str, clan.symbols))
 
 
 def clan_sort_key(clan: Clan) -> str:

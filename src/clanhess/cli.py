@@ -187,8 +187,6 @@ def _cmd_wset(args) -> tuple[int, list[str]]:
 
 def _cmd_wset_bijection(args) -> tuple[int, list[str]]:
     w = parse_permutation(args.w)
-    if args.p is None:
-        raise ValueError("wset-bijection needs --p")
     q = w.degree
     p = args.p
     if not 1 <= q <= p:
@@ -259,8 +257,6 @@ def _cmd_hess(args) -> tuple[int, list[str]]:
         return 0, lines
     # hess dim <w>
     w = parse_permutation(args.w)
-    if args.p is None:
-        raise ValueError("hess dim needs --p")
     p = args.p
     m = m_of_w(w, p)
     lines = [
@@ -360,8 +356,9 @@ def _build_parser() -> _Parser:
         sp.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
         if formats:
             sp.add_argument("--format", choices=formats, default=formats[0])
+        # shape=False: q is the degree of the command's permutation
+        sp.add_argument("--p", type=int, required=not shape, help="number of + signs")
         if shape:
-            sp.add_argument("--p", type=int, help="number of + signs")
             sp.add_argument("--q", type=int, help="number of - signs")
 
     clans = sub.add_parser("clans", help="enumerate clans or print statistics")
@@ -383,7 +380,7 @@ def _build_parser() -> _Parser:
 
     bij = sub.add_parser("wset-bijection", help="W-set via length-additive factorizations")
     bij.add_argument("w", help="one-line permutation, e.g. 213 or [2,1,3]")
-    common(bij)
+    common(bij, shape=False)
 
     cls = sub.add_parser("class", help="cohomology class of an orbit closure")
     cls.add_argument("clan", help="clan string, or one-line w of length q")
@@ -398,7 +395,7 @@ def _build_parser() -> _Parser:
     common(rp)
     dm = hess_sub.add_parser("dim", help="dimension of the variety of m(w)")
     dm.add_argument("w", help="231-avoiding one-line permutation")
-    common(dm, formats=())
+    common(dm, formats=(), shape=False)
 
     monk = sub.add_parser("monk", help="divisor product S_{s_m} * class")
     monk.add_argument("m", type=int, help="divisor index, 1 <= m < n")

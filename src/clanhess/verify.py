@@ -42,11 +42,11 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from itertools import product
 from operator import le
 
 from .clans import (
     clan_count,
-    clan_length,
     enumerate_clans,
     gamma_w,
     orbit_dimension,
@@ -324,9 +324,7 @@ def dimension_checks() -> CheckResult:
             if not avoids(w, pattern):
                 continue
             checked += 1
-            closed_form = w.length() + p * q + p * (p - 1) // 2
             values = {
-                "closed form": closed_form,
                 "hess_dimension": hess_dimension(w, p),
                 "area": area(m_of_w(w, p)),
                 "orbit_dimension": orbit_dimension(gamma_w(w, p)),
@@ -485,20 +483,12 @@ def monk_checks() -> CheckResult:
 def _divided_difference_relations(problems: list[str]) -> int:
     """Nilpotence, braid, and commutation for the divided differences,
     exhaustively on monomials of degree <= 6 in 4 variables."""
-
-    def monomials(nvars: int, max_deg: int):
-        def rec(prefix, remaining, slots):
-            if slots == 0:
-                yield tuple(prefix)
-                return
-            for d in range(remaining + 1):
-                yield from rec(prefix + [d], remaining - d, slots - 1)
-
-        for total in range(max_deg + 1):
-            yield from rec([], total, nvars)
-
     checked = 0
-    for exps in monomials(4, 6):
+    # each total repeats the lower degrees: 462 vectors over 210 monomials
+    monomials = (
+        e for total in range(7) for e in product(range(total + 1), repeat=4) if sum(e) <= total
+    )
+    for exps in monomials:
         poly = IntPolynomial.monomial(exps)
         for i in range(1, 4):
             checked += 1
@@ -549,18 +539,13 @@ def structural_checks() -> CheckResult:
                     problems.append(f"cover not an inclusion: {render_clan(cov.source)}")
                 if dims[j] != dims[i] + 1:
                     problems.append(f"cover dimension step != 1 at {render_clan(cov.source)}")
-                if clan_length(cov.target) != clan_length(cov.source) + 1:
-                    problems.append(f"cover length step != 1 at {render_clan(cov.source)}")
                 if set(cov.move_types) - set(MOVE_TYPES):
                     problems.append(f"unknown move type at {render_clan(cov.source)}")
         poset_nodes += len(clans)
         for i, below in enumerate(down):
             if not (below >> i) & 1:
                 problems.append(f"({p},{q}): inclusion not reflexive")
-            rest = below & ~(1 << i)
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
+            for j in members(below & ~(1 << i)):
                 if (down[j] >> i) & 1 or down[j] & ~below:
                     problems.append(f"({p},{q}): inclusion not antisymmetric or not transitive at {i},{j}")
                     break

@@ -238,6 +238,8 @@ def w_set_via_bijection(w: Permutation, p: int) -> frozenset[Permutation]:
     from .perms import factorization_pairs, phi
 
     q = w.degree
+    if not 1 <= q <= p:
+        raise ValueError(f"need p >= q = deg(w) >= 1, got p={p}, q={q}")
     n = p + q
     target = w * Permutation.longest(q)
     return frozenset(u * phi(v, n) for u, v in factorization_pairs(target))

@@ -308,3 +308,61 @@ def test_render_token_form_for_large_labels():
     c = Clan(symbols)
     assert " " in render_clan(c)
     assert parse_clan(render_clan(c)) == c
+
+
+def _two_loop_clan(symbols):
+    """The earlier two-loop constructor, transcribed as the reference."""
+    relabel: dict = {}
+    out: list = []
+    for c in symbols:
+        if c == PLUS or c == MINUS:
+            out.append(c)
+        else:
+            out.append(relabel.setdefault(c, len(relabel) + 1))
+    counts = [0] * len(relabel)
+    for c in out:
+        if isinstance(c, int):
+            counts[c - 1] += 1
+    if any(k != 2 for k in counts):
+        raise ValueError(f"every pair label must occur exactly twice: {symbols!r}")
+    ell = len(relabel)
+    p, q = ell + out.count(PLUS), ell + out.count(MINUS)
+    if q < 1:
+        raise ValueError(f"need q >= 1, got (p,q)=({p},{q}): {symbols!r}")
+    if p < q:
+        raise ValueError(
+            f"got (p,q)=({p},{q}) with p < q; transpose the clan "
+            f"(swap + and -) to land in the supported p >= q case"
+        )
+    return tuple(out), p, q
+
+
+def test_constructor_matches_two_loop_reference():
+    for n in range(2, 10):
+        for q in range(1, n // 2 + 1):
+            for clan in enumerate_clans(n - q, q):
+                # reversed labels, so the constructor has to relabel them
+                shuffled = [c if c in (PLUS, MINUS) else 20 - c for c in clan.symbols]
+                for symbols in (clan.symbols, shuffled):
+                    built = Clan(symbols)
+                    assert (built.symbols, built.p, built.q) == _two_loop_clan(symbols)
+                    assert built == clan
+
+
+@pytest.mark.parametrize(
+    "symbols", [(), (1,), (1, 1, 1), (1, 2, 1), ("+",), ("-", "-", "+"), ("+", "-", "-")]
+)
+def test_constructor_errors_match_two_loop_reference(symbols):
+    with pytest.raises(ValueError) as expected:
+        _two_loop_clan(symbols)
+    with pytest.raises(ValueError) as got:
+        Clan(symbols)
+    assert str(got.value) == str(expected.value)
+
+
+def test_render_switches_to_tokens_at_label_10():
+    # token form also parses back, so only the exact text tells the two apart
+    assert render_clan(Clan(list(range(1, 10)) * 2)) == "123456789123456789"
+    assert render_clan(Clan(["+"] + list(range(1, 11)) * 2)) == (
+        "+ " + " ".join(map(str, range(1, 11))) + " " + " ".join(map(str, range(1, 11)))
+    )

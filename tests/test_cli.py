@@ -73,6 +73,23 @@ def test_wset_bijection_rows(capsys):
     assert words == {"s2*s1", "s2*s5", "s5*s4"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hess", "dim", "213", "--p", "3", "--q", "9"],
+        ["wset-bijection", "213", "--p", "3", "--q", "3"],
+        ["hess", "dim", "213"],
+        ["wset-bijection", "213"],
+    ],
+)
+def test_permutation_commands_take_p_alone(argv, capsys):
+    # q is the degree of w: a --q is refused, not ignored, and --p is required
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_class_render(capsys):
     status, lines = run(capsys, "class", "--p", "2", "--q", "1", "+-+")
     assert status == 0

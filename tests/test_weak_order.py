@@ -289,6 +289,13 @@ def test_w_set_matches_factorization_description(q, p):
         assert w_set(gamma_w(w, p), cache) == w_set_via_bijection(w, p)
 
 
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_w_set_via_bijection_rejects_p_below_degree(p):
+    # gamma_w, whose W-set this is, needs p >= deg(w) >= 1 as well
+    with pytest.raises(ValueError, match=f"need p >= q = deg\\(w\\) >= 1, got p={p}, q=3"):
+        w_set_via_bijection(Permutation((1, 2, 3)), p)
+
+
 def test_w_set_elements_have_codimension_length():
     """Every W-set element is reduced of length = codim of the orbit."""
     for p in range(1, 5):
