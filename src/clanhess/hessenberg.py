@@ -14,11 +14,10 @@ permutations w in S_q.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
-from .clans import Clan, as_interval_permutation, clan_sort_key, clan_to_json, gamma_w
-from .perms import Permutation, avoids, render_permutation, symmetric_group
+from .clans import Clan, as_interval_permutation, clan_to_json
+from .perms import Permutation, avoids, h_vector, render_permutation, symmetric_group
 from .poset import inclusion_poset
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "m_of_w",
     "hess_dimension",
     "classify_irreducibles",
-    "lower_ideal_check",
     "catalan",
 ]
 
@@ -174,14 +172,7 @@ def m_of_w(w: Permutation, p: int) -> tuple[int, ...]:
             f"{render_permutation(w)} contains the pattern 231; "
             "no irreducible Hessenberg vector is attached to it"
         )
-    inv = w.inverse()
-    best = 0
-    m = []
-    for i in range(1, q + 1):
-        best = max(best, inv(i))
-        m.append(best + p)
-    m.extend([n] * p)
-    return tuple(m)
+    return tuple(p + h for h in h_vector(w.inverse())) + (n,) * p
 
 
 def hess_dimension(w: Permutation, p: int) -> int:
@@ -206,15 +197,6 @@ def classify_irreducibles(p: int, q: int) -> dict[Permutation, tuple[int, ...]]:
     if len(set(out.values())) != len(out) or len(out) != catalan(q):
         raise AssertionError(f"irreducible classification degenerate at ({p},{q})")
     return out
-
-
-def lower_ideal_check(w: Permutation, p: int) -> bool:
-    """Whether the clans contained in the variety of m(w) are exactly the
-    clans below gamma_w in inclusion order."""
-    m = m_of_w(w, p)
-    poset = inclusion_poset(p, w.degree)
-    at = bisect_left(poset.clans, clan_sort_key(gamma_w(w, p)), key=clan_sort_key)
-    return poset.contained(m) == poset.down[at]
 
 
 def catalan(n: int) -> int:

@@ -15,6 +15,7 @@ from functools import lru_cache
 
 from .clans import Clan
 from .perms import Permutation, render_permutation, trim_fixed_points
+from .weak_order import w_set
 
 __all__ = [
     "IntPolynomial",
@@ -326,8 +327,6 @@ def expand_in_schubert_basis(poly: IntPolynomial) -> SchubertExpansion:
 def brion_class(clan: Clan, _cache: dict | None = None) -> SchubertExpansion:
     """The cohomology class of the orbit closure: sum of S_x over the W-set,
     every coefficient equal to one.  ``_cache`` is ``w_set``'s memo."""
-    from .weak_order import w_set
-
     return SchubertExpansion(dict.fromkeys(w_set(clan, _cache), 1))
 
 

@@ -46,6 +46,7 @@ from itertools import product
 from operator import le
 
 from .clans import (
+    as_interval_permutation,
     clan_count,
     enumerate_clans,
     gamma_w,
@@ -63,9 +64,7 @@ from .hessenberg import (
     area,
     classify_irreducibles,
     hess_dimension,
-    hess_orbit_report,
     hessenberg_vectors,
-    lower_ideal_check,
     m_of_w,
 )
 from .perms import (
@@ -285,20 +284,24 @@ def irreducibility_checks(max_total: int = 7) -> CheckResult:
             problems.append(f"({p},{q}): classify_irreducibles failed: {exc}")
             continue
         witness_by_m = {m: w for w, m in table.items()}
+        poset = inclusion_poset(p, q)
         for m in hessenberg_vectors(p + q):
             vectors_checked += 1
-            rep = hess_orbit_report(p, q, m)
+            mask = poset.contained(m)
+            top = poset.maximal(mask)
+            irreducible = len(top) == 1
             want = m in witness_by_m
-            if rep.irreducible != want:
-                problems.append(f"({p},{q}) m={m}: irreducible={rep.irreducible}, expected {want}")
+            if irreducible != want:
+                problems.append(f"({p},{q}) m={m}: irreducible={irreducible}, expected {want}")
                 continue
             if want:
                 w = witness_by_m[m]
-                if rep.witness != w:
+                (j,) = top
+                if as_interval_permutation(poset.clans[j]) != w:
                     problems.append(f"({p},{q}) m={m}: wrong witness")
-                if rep.maximal != (gamma_w(w, p),):
+                if poset.clans[j] != gamma_w(w, p):
                     problems.append(f"({p},{q}) m={m}: component is not gamma_w")
-                if not lower_ideal_check(w, p):
+                if poset.down[j] != mask:
                     problems.append(f"({p},{q}) m={m}: contained set is not the lower ideal")
     detail = (
         f"{len(shapes)} shapes, {vectors_checked} Hessenberg vectors: irreducible "

@@ -34,7 +34,7 @@ from .clans import (
     interval_clans,
     render_clan,
 )
-from .perms import Permutation, symmetric_group, trim_fixed_points
+from .perms import Permutation, factorization_pairs, phi, symmetric_group, trim_fixed_points
 
 __all__ = [
     "LabeledCover",
@@ -165,7 +165,7 @@ def build_graph(p: int, q: int, interval_only: bool = False) -> WeakOrderGraph:
                     f"cover leaves the node set: {clan} -> {cov.target}"
                 )
             covers.append(cov)
-    return WeakOrderGraph(p, q, interval_only, nodes, covers)
+    return WeakOrderGraph(p, q, interval_only, nodes, tuple(covers))
 
 
 # n = p + q up to which W-set elements fit bytes one-line notation
@@ -235,8 +235,6 @@ def w_set(clan: Clan, _cache: dict | None = None) -> frozenset[Permutation]:
 def w_set_via_bijection(w: Permutation, p: int) -> frozenset[Permutation]:
     """W-set of gamma_w computed from length-additive factorizations:
     { u * phi(v) : w*y0 = u*v with additive lengths }, phi in S_{p+q}."""
-    from .perms import factorization_pairs, phi
-
     q = w.degree
     if not 1 <= q <= p:
         raise ValueError(f"need p >= q = deg(w) >= 1, got p={p}, q={q}")

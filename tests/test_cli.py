@@ -6,8 +6,9 @@ import pytest
 
 from clanhess import verify
 from clanhess.cli import main
-from clanhess.clans import clan_from_json, interval_clans
+from clanhess.clans import clan_from_json, interval_clans, parse_clan
 from clanhess.perms import parse_permutation
+from clanhess.poset import InclusionPoset
 from clanhess.schubert import SchubertExpansion
 from test_poset import _inclusion_hasse
 
@@ -257,6 +258,38 @@ def test_degenerate_classification_fails_criterion_2(capsys, monkeypatch):
     assert status == 2
     assert lines[0].startswith("FAIL criterion 2 (irreducible-classification): (1,1): ")
     assert "degenerate at (2,1)" in lines[0]
+
+
+_MAXIMAL, _CONTAINED = InclusionPoset.maximal, InclusionPoset.contained
+
+
+def _first_maximal_only(self, mask):
+    return _MAXIMAL(self, mask)[:1]
+
+
+def _full_mask_without_bit_0(self, m):
+    mask = _CONTAINED(self, m)
+    return mask ^ 1 if mask == self.full else mask
+
+
+@pytest.mark.parametrize(
+    "owner,attr,fake,message",
+    [
+        # at (1,1), m = (1, 2) has the two maximal clans +- and -+
+        (InclusionPoset, "maximal", _first_maximal_only, "m=(1, 2): irreducible=True, expected False"),
+        (verify, "as_interval_permutation", lambda clan: None, "m=(2, 2): wrong witness"),
+        (verify, "gamma_w", lambda w, p: parse_clan("+-"), "m=(2, 2): component is not gamma_w"),
+        # 11 stays the one maximal clan of {-+, 11}, whose down-set is all three clans
+        (InclusionPoset, "contained", _full_mask_without_bit_0, "m=(2, 2): contained set is not the lower ideal"),
+    ],
+)
+def test_criterion_2_names_each_failed_subcheck(monkeypatch, owner, attr, fake, message):
+    # the patches go on the class and on verify's bindings, never on the
+    # cached poset of (1,1), and monkeypatch undoes them after the test
+    monkeypatch.setattr(owner, attr, fake)
+    result = verify.irreducibility_checks(max_total=2)
+    assert result.passed is False
+    assert result.detail == f"(1,1) {message}"
 
 
 def test_out_to_unopenable_path_exits_1(tmp_path, capsys):

@@ -19,11 +19,11 @@ from clanhess.hessenberg import (
     hess_orbit_report,
     hessenberg_vectors,
     is_hessenberg_vector,
-    lower_ideal_check,
     m_of_w,
     orbit_in_hess,
 )
 from clanhess.perms import Permutation, avoids, parse_permutation, symmetric_group
+from clanhess.poset import inclusion_poset
 
 
 def test_is_hessenberg_vector():
@@ -132,7 +132,8 @@ def test_irreducible_iff_m_comes_from_231_avoiding_w(p, q):
             assert report.irreducible
             assert report.witness == w
             assert report.maximal == (gamma_w(w, p),)
-            assert lower_ideal_check(w, p)
+            poset = inclusion_poset(p, q)
+            assert poset.contained(m) == poset.down[poset.clans.index(gamma_w(w, p))]
         else:
             assert not report.irreducible
 

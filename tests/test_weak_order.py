@@ -209,6 +209,14 @@ def test_graph_2_1():
     assert cover_map(parse_clan("1+1")) == {}
 
 
+@pytest.mark.parametrize("interval_only", [False, True])
+def test_graph_covers_cannot_be_changed(interval_only):
+    graph = build_graph(2, 1, interval_only)
+    assert isinstance(graph.covers, tuple)
+    with pytest.raises(AttributeError):
+        graph.covers.append(None)
+
+
 def test_covers_of_gamma_51324():
     """The interval clan of w = 51324 at p = 6 has exactly the four covers
     coming from the weak-order covers of w itself."""
