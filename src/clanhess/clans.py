@@ -156,11 +156,10 @@ def parse_clan(text: str, p: int | None = None, q: int | None = None) -> Clan:
         else:
             raise ValueError(f"bad clan symbol {tok!r} in {text!r}")
     clan = Clan(symbols)
-    if p is not None and q is not None and (clan.p, clan.q) != (p, q):
-        raise ValueError(
-            f"clan {text!r} has signature (p,q)=({clan.p},{clan.q}), "
-            f"expected ({p},{q}); the sign balance must equal p-q"
-        )
+    # each bound that is given must match
+    if (clan.p if p is None else p, clan.q if q is None else q) != (clan.p, clan.q):
+        expected = f"q={q}" if p is None else f"p={p}" if q is None else f"({p},{q}); the sign balance must equal p-q"
+        raise ValueError(f"clan {text!r} has signature (p,q)=({clan.p},{clan.q}), expected {expected}")
     return clan
 
 

@@ -48,17 +48,10 @@ from .clans import (
     statistics,
 )
 from .hessenberg import area, classify_irreducibles, hess_dimension, hess_orbit_report, m_of_w
-from .perms import (
-    Permutation,
-    factorization_pairs,
-    parse_permutation,
-    phi,
-    render_permutation,
-    render_word,
-)
+from .perms import Permutation, parse_permutation, render_permutation, render_word
 from .poset import InclusionPoset, inclusion_poset
 from .schubert import brion_class, monk_product
-from .weak_order import build_graph, graph_to_dot, graph_to_json, w_set, w_set_via_bijection
+from .weak_order import build_graph, factorization_bijection, graph_to_dot, graph_to_json, w_set
 
 
 class _Parser(argparse.ArgumentParser):
@@ -187,19 +180,10 @@ def _cmd_wset(args) -> tuple[int, list[str]]:
 
 def _cmd_wset_bijection(args) -> tuple[int, list[str]]:
     w = parse_permutation(args.w)
-    q = w.degree
-    p = args.p
-    if not 1 <= q <= p:
-        raise ValueError(f"need p >= q >= 1, got p={p}, q={q}")
-    n = p + q
-    pairs = sorted(
-        factorization_pairs(w * Permutation.longest(q)),
-        key=lambda uv: (_perm_sort_key(uv[0]), _perm_sort_key(uv[1])),
+    rows = sorted(
+        factorization_bijection(w, args.p).items(),
+        key=lambda row: (_perm_sort_key(row[0][0]), _perm_sort_key(row[0][1])),
     )
-    rows = []
-    for u, v in pairs:
-        x = u * phi(v, n)
-        rows.append((u, v, x))
     if args.format == "json":
         payload = [
             {
@@ -208,12 +192,13 @@ def _cmd_wset_bijection(args) -> tuple[int, list[str]]:
                 "element": list(x.key),
                 "word": list(x.reduced_word()),
             }
-            for u, v, x in rows
+            for (u, v), x in rows
         ]
         return 0, [json.dumps(payload)]
+    q = w.degree
     lines = [
         f"{render_permutation(u, q)} * phi({render_permutation(v, q)}) = {render_word(x.reduced_word())}"
-        for u, v, x in rows
+        for (u, v), x in rows
     ]
     lines.append(f"|W| = {len(rows)}")
     return 0, lines

@@ -12,6 +12,7 @@ other.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain, zip_longest
 
 from .clans import Clan
 from .perms import Permutation, render_permutation, trim_fixed_points
@@ -29,12 +30,21 @@ __all__ = [
 ]
 
 
-def _trim(exps) -> tuple[int, ...]:
-    exps = tuple(exps)
-    end = len(exps)
-    while end and exps[end - 1] == 0:
-        end -= 1
-    return exps[:end]
+def _normal(pairs) -> dict[tuple[int, ...], int]:
+    """Sum (exponents, coefficient) pairs by exponents with trailing zeros
+    trimmed, dropping zero terms."""
+    out: dict[tuple[int, ...], int] = {}
+    for exps, coeff in pairs:
+        if min(exps, default=0) < 0:
+            raise ValueError(f"negative exponent in {exps!r}")
+        end = len(exps)
+        while end and exps[end - 1] == 0:
+            end -= 1
+        key = tuple(exps[:end])
+        out[key] = total = out.get(key, 0) + coeff
+        if not total:
+            del out[key]
+    return out
 
 
 class IntPolynomial:
@@ -52,18 +62,14 @@ class IntPolynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None) -> None:
-        clean: dict[tuple[int, ...], int] = {}
-        for exps, coeff in (terms or {}).items():
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps!r}")
-            if coeff:
-                key = _trim(exps)
-                total = clean.get(key, 0) + coeff
-                if total:
-                    clean[key] = total
-                else:
-                    clean.pop(key, None)
-        self.terms = clean
+        self.terms = _normal((terms or {}).items())
+
+    @classmethod
+    def _of(cls, pairs) -> "IntPolynomial":
+        """The polynomial summing (exponents, coefficient) pairs, normalized once."""
+        poly = cls.__new__(cls)
+        poly.terms = _normal(pairs)
+        return poly
 
     @classmethod
     def zero(cls) -> "IntPolynomial":
@@ -101,15 +107,12 @@ class IntPolynomial:
             other = IntPolynomial({(): other})
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        merged = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            merged[exps] = merged.get(exps, 0) + coeff
-        return IntPolynomial(merged)
+        return IntPolynomial._of(chain(self.terms.items(), other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial({e: -c for e, c in self.terms.items()})
+        return IntPolynomial._of((e, -c) for e, c in self.terms.items())
 
     def __sub__(self, other) -> "IntPolynomial":
         return self + (-other if isinstance(other, IntPolynomial) else -1 * other)
@@ -119,18 +122,14 @@ class IntPolynomial:
 
     def __mul__(self, other) -> "IntPolynomial":
         if isinstance(other, int):
-            return IntPolynomial({e: c * other for e, c in self.terms.items()})
+            return IntPolynomial._of((e, c * other) for e, c in self.terms.items())
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        out: dict[tuple[int, ...], int] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                width = max(len(ea), len(eb))
-                pa = ea + (0,) * (width - len(ea))
-                pb = eb + (0,) * (width - len(eb))
-                key = tuple(a + b for a, b in zip(pa, pb))
-                out[key] = out.get(key, 0) + ca * cb
-        return IntPolynomial(out)
+        return IntPolynomial._of(
+            (tuple(a + b for a, b in zip_longest(ea, eb, fillvalue=0)), ca * cb)
+            for ea, ca in self.terms.items()
+            for eb, cb in other.terms.items()
+        )
 
     __rmul__ = __mul__
 
@@ -142,23 +141,14 @@ class IntPolynomial:
         """
         if i < 1:
             raise ValueError(f"divided difference needs i >= 1: {i}")
-        out: dict[tuple[int, ...], int] = {}
+        out = []
         for exps, coeff in self.terms.items():
             padded = exps + (0,) * max(0, i + 1 - len(exps))
             a, b = padded[i - 1], padded[i]
-            if a == b:
-                continue
             lo, hi, sign = (b, a, coeff) if a > b else (a, b, -coeff)
             for j in range(hi - lo):
-                key = _trim(
-                    padded[: i - 1] + (lo + j, hi - 1 - j) + padded[i + 1 :]
-                )
-                total = out.get(key, 0) + sign
-                if total:
-                    out[key] = total
-                else:
-                    out.pop(key, None)
-        return IntPolynomial(out)
+                out.append((padded[: i - 1] + (lo + j, hi - 1 - j) + padded[i + 1 :], sign))
+        return IntPolynomial._of(out)
 
     def leading(self) -> tuple[tuple[int, ...], int] | None:
         """The lexicographically smallest monomial and its coefficient.

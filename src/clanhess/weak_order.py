@@ -43,6 +43,7 @@ __all__ = [
     "build_graph",
     "w_set",
     "w_set_via_bijection",
+    "factorization_bijection",
     "interval_iso_check",
     "graph_to_dot",
     "graph_to_json",
@@ -232,15 +233,18 @@ def w_set(clan: Clan, _cache: dict | None = None) -> frozenset[Permutation]:
     return frozenset(map(table.__getitem__, elements))
 
 
-def w_set_via_bijection(w: Permutation, p: int) -> frozenset[Permutation]:
-    """W-set of gamma_w computed from length-additive factorizations:
-    { u * phi(v) : w*y0 = u*v with additive lengths }, phi in S_{p+q}."""
+def factorization_bijection(w: Permutation, p: int) -> dict[tuple[Permutation, Permutation], Permutation]:
+    """The map (u, v) -> u * phi(v), phi in S_{p+q}, on the length-additive
+    factorizations w*y0 = u*v; its image is the W-set of gamma_w."""
     q = w.degree
     if not 1 <= q <= p:
         raise ValueError(f"need p >= q = deg(w) >= 1, got p={p}, q={q}")
-    n = p + q
-    target = w * Permutation.longest(q)
-    return frozenset(u * phi(v, n) for u, v in factorization_pairs(target))
+    return {(u, v): u * phi(v, p + q) for u, v in factorization_pairs(w * Permutation.longest(q))}
+
+
+def w_set_via_bijection(w: Permutation, p: int) -> frozenset[Permutation]:
+    """W-set of gamma_w as the image of ``factorization_bijection``."""
+    return frozenset(factorization_bijection(w, p).values())
 
 
 def interval_iso_check(p: int, q: int) -> bool:

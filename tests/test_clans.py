@@ -49,6 +49,15 @@ def test_validation_errors():
         parse_clan("+0-1", 2, 2)
 
 
+def test_a_lone_bound_is_checked_alone():
+    assert str(parse_clan("+-", 1, None)) == "+-"
+    assert str(parse_clan("+-", None, 1)) == "+-"
+    with pytest.raises(ValueError, match=r"has signature \(p,q\)=\(1,1\), expected p=9$"):
+        parse_clan("+-", 9, None)
+    with pytest.raises(ValueError, match=r"expected q=2$"):
+        parse_clan("+-", None, 2)
+
+
 def test_signature_derivation():
     c = parse_clan("+1+-2+21", 5, 3)
     assert (c.p, c.q, c.n, c.num_pairs) == (5, 3, 8, 2)

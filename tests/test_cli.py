@@ -74,6 +74,13 @@ def test_wset_bijection_rows(capsys):
     assert words == {"s2*s1", "s2*s5", "s5*s4"}
 
 
+def test_wset_bijection_rejects_p_below_degree(capsys):
+    # the same message as `hess dim`
+    assert main(["wset-bijection", "213", "--p", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "clanhess: error: need p >= q = deg(w) >= 1, got p=2, q=3\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -304,6 +311,20 @@ def test_out_writes_file(tmp_path, capsys):
     status, lines = run(capsys, "clans", "enumerate", "--p", "1", "--q", "1", "--out", str(target))
     assert status == 0 and lines == []
     assert target.read_text().splitlines() == ["+-", "-+", "11"]
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["clans", "stats", "--p", "9", "+-"], "p=9"),
+        (["class", "--p", "9", "11"], "p=9"),
+        (["clans", "stats", "--q", "9", "+-"], "q=9"),
+    ],
+)
+def test_a_lone_bound_is_checked(argv, bound, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and f"expected {bound}" in err and "None" not in err
 
 
 def test_shape_validation(capsys):

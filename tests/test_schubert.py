@@ -90,6 +90,20 @@ def test_divided_difference_relations_exhaustive():
         assert d1.divided_difference(3) == d3.divided_difference(1)
 
 
+def test_divided_difference_inverts_multiplication_by_the_root():
+    """(x_i - x_{i+1}) * d_i f = f - s_i f on every monomial of degree <= 5
+    in four variables, s_i swapping x_i and x_{i+1}."""
+    for exps in itertools.product(range(6), repeat=4):
+        if sum(exps) > 5:
+            continue
+        mono = IntPolynomial.monomial(exps)
+        for i in (1, 2, 3):
+            swapped = list(exps)
+            swapped[i - 1], swapped[i] = exps[i], exps[i - 1]
+            root = IntPolynomial.variable(i) - IntPolynomial.variable(i + 1)
+            assert root * mono.divided_difference(i) == mono - IntPolynomial.monomial(swapped)
+
+
 def test_schubert_polynomial_cache_is_bounded():
     assert schubert_polynomial.cache_info().maxsize is not None
 

@@ -22,12 +22,13 @@ from clanhess.clans import (
     parse_clan,
     render_clan,
 )
-from clanhess.perms import Permutation, parse_permutation, symmetric_group
+from clanhess.perms import Permutation, factorization_pairs, parse_permutation, phi, symmetric_group
 from clanhess.weak_order import (
     MOVE_TYPES,
     LabeledCover,
     build_graph,
     covers_from,
+    factorization_bijection,
     graph_to_dot,
     graph_to_json,
     interval_iso_check,
@@ -300,8 +301,19 @@ def test_w_set_matches_factorization_description(q, p):
 @pytest.mark.parametrize("p", [0, 1, 2])
 def test_w_set_via_bijection_rejects_p_below_degree(p):
     # gamma_w, whose W-set this is, needs p >= deg(w) >= 1 as well
-    with pytest.raises(ValueError, match=f"need p >= q = deg\\(w\\) >= 1, got p={p}, q=3"):
-        w_set_via_bijection(Permutation((1, 2, 3)), p)
+    for function in (w_set_via_bijection, factorization_bijection):
+        with pytest.raises(ValueError, match=f"need p >= q = deg\\(w\\) >= 1, got p={p}, q=3"):
+            function(Permutation((1, 2, 3)), p)
+
+
+@pytest.mark.parametrize("q,p", [(q, p) for q in range(1, 5) for p in range(q, q + 3)])
+def test_factorization_bijection_is_injective_on_the_factorizations(q, p):
+    for w in symmetric_group(q):
+        bijection = factorization_bijection(w, p)
+        assert set(bijection) == factorization_pairs(w * Permutation.longest(q))
+        for (u, v), x in bijection.items():
+            assert x == u * phi(v, p + q)
+        assert len(set(bijection.values())) == len(bijection)
 
 
 def test_w_set_elements_have_codimension_length():
