@@ -384,8 +384,3 @@ def clan_from_json(data: dict | str) -> Clan:
         )
     return clan
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -225,8 +225,3 @@ def k_invariance_spotcheck(clan: Clan, m, trials: int = 8, seed: int = 0) -> boo
             return False
     return True
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

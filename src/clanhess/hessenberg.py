@@ -207,8 +207,3 @@ def catalan(n: int) -> int:
     """
     return math.comb(2 * n, n) // (n + 1)
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

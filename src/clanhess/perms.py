@@ -301,27 +301,13 @@ def factorization_pairs(w: Permutation) -> frozenset[tuple[Permutation, Permutat
 _WEAK_MODES = ("left", "right", "two-sided")
 
 
-def _weak_covers_up(w: Permutation, mode: str) -> list[Permutation]:
-    n = w.degree
-    out = []
-    if mode in ("left", "two-sided"):
-        inv = w.inverse().images
-        for i in range(1, n):
-            if inv[i - 1] < inv[i]:
-                out.append(Permutation.simple(i, n) * w)
-    if mode in ("right", "two-sided"):
-        images = w.images
-        for i in range(1, n):
-            if images[i - 1] < images[i]:
-                out.append(w * Permutation.simple(i, n))
-    return out
-
-
 def weak_order_leq(x: Permutation, y: Permutation, mode: str = "two-sided") -> bool:
     """Compare in the left, right, or two-sided weak order on S_n.
 
     The two-sided order is generated by both kinds of covers; each cover
-    raises length by exactly 1, so the search runs level by level.
+    raises length by exactly 1, so the search runs level by level over
+    one-line tuples.  A left cover s_i * u swaps the values i and i+1 of u,
+    a right cover u * s_i the entries at positions i and i+1.
 
     >>> weak_order_leq(parse_permutation("[5,1,3,2,4]"), parse_permutation("[5,3,1,2,4]"), "right")
     True
@@ -333,12 +319,25 @@ def weak_order_leq(x: Permutation, y: Permutation, mode: str = "two-sided") -> b
     steps = y.length() - x.length()
     if steps < 0:
         return False
-    frontier = {x}
+    left, right = mode != "right", mode != "left"
+    frontier = {x.images}
     for _ in range(steps):
-        frontier = {z for u in frontier for z in _weak_covers_up(u, mode)}
-        if not frontier:
-            return False
-    return y in frontier
+        level = set()
+        for u in frontier:
+            if left:
+                at = [0] * (n + 1)
+                for a, v in enumerate(u):
+                    at[v] = a
+                for v in range(1, n):
+                    a, b = at[v], at[v + 1]
+                    if a < b:
+                        level.add(u[:a] + (v + 1,) + u[a + 1 : b] + (v,) + u[b + 1 :])
+            if right:
+                for a in range(n - 1):
+                    if u[a] < u[a + 1]:
+                        level.add(u[:a] + (u[a + 1], u[a]) + u[a + 2 :])
+        frontier = level
+    return y.images in frontier
 
 
 def bruhat_leq(x: Permutation, y: Permutation) -> bool:
@@ -401,8 +400,3 @@ def render_word(word: tuple[int, ...]) -> str:
     """Render a word in simple reflections, e.g. (1, 2, 1) -> "s1*s2*s1"."""
     return "*".join(f"s{i}" for i in word) if word else "e"
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -375,8 +375,3 @@ def is_multiplicity_free(expansion: SchubertExpansion) -> bool:
     """True when every Schubert coefficient equals one."""
     return all(coeff == 1 for coeff in expansion.coeffs.values())
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -301,8 +301,3 @@ def graph_to_json(graph: WeakOrderGraph) -> str:
     }
     return json.dumps(data, indent=2)
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -9,7 +9,6 @@ import pytest
 
 from clanhess.perms import (
     Permutation,
-    _weak_covers_up,
     avoids,
     bruhat_leq,
     factorization_pairs,
@@ -235,6 +234,18 @@ def test_weak_order_examples():
         weak_order_leq(x, y, "sideways")
 
 
+def _weak_covers_up(w, mode):
+    """The upper covers of w in the weak order of mode, each as a product of
+    Permutations: the oracle for the tuple walk of ``weak_order_leq``."""
+    n = w.degree
+    out = []
+    if mode in ("left", "two-sided"):
+        out += [Permutation.simple(i, n) * w for i in range(1, n) if w.inverse()(i) < w.inverse()(i + 1)]
+    if mode in ("right", "two-sided"):
+        out += [w * Permutation.simple(i, n) for i in range(1, n) if w(i) < w(i + 1)]
+    return out
+
+
 def _closure_from_covers(n, mode):
     perms = list(symmetric_group(n))
     index = {w: i for i, w in enumerate(perms)}
@@ -255,6 +266,18 @@ def test_two_sided_weak_order_included_in_bruhat():
                 assert leq == weak_order_leq(x, y, "two-sided")
                 if leq:
                     assert bruhat_leq(x, y)
+
+
+@pytest.mark.parametrize("mode", ["left", "right", "two-sided"])
+def test_weak_order_leq_matches_the_closure_of_its_covers(mode):
+    perms, index, reach = _closure_from_covers(4, mode)
+    for x in perms:
+        for y in perms:
+            assert weak_order_leq(x, y, mode) == bool(reach[index[x]] >> index[y] & 1)
+            # mixed degrees: y is embedded in S_5, x in S_4
+            assert weak_order_leq(x, y.embedded(5), mode) == weak_order_leq(x, y, mode)
+    assert weak_order_leq(Permutation((2, 1)), Permutation((1, 3, 2)), mode) is False
+    assert weak_order_leq(Permutation((1,)), Permutation((2, 1, 3)), mode) is True
 
 
 def test_bruhat_against_subword_oracle():

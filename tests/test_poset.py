@@ -188,6 +188,23 @@ def test_covers_match_transitive_reduction(p, q, interval, cached_statistics):
     assert got == _inclusion_hasse(list(nodes))
 
 
+@pytest.mark.parametrize("p,q", SHAPES_UP_TO_8)
+def test_covers_are_the_maximal_elements_of_each_strict_down_set(p, q):
+    """``covers`` walks only the layers below each clan; through the public
+    ``maximal``, which walks them all, the covers are the same."""
+    poset = inclusion_poset(p, q)
+    want = sorted((i, j) for j, below in enumerate(poset.down) for i in poset.maximal(below ^ 1 << j))
+    assert poset.covers() == want
+
+
+def test_a_repeated_clan_is_rejected():
+    with pytest.raises(ValueError, match=r"need distinct clans, got \+- more than once"):
+        InclusionPoset([Clan("+-"), Clan("11"), Clan("+-")])
+    # the same clan under other labels is the same clan
+    with pytest.raises(ValueError, match="got 1122 more than once"):
+        InclusionPoset([Clan("1122"), Clan("+-+-"), Clan("2211")])
+
+
 @pytest.mark.parametrize("m", [(1, 2, 3, 9), (2, 1, 4, 4), (4, 4, 4), (1, 2, 3, 4, 5)])
 def test_hess_orbit_report_rejects_non_hessenberg_vectors(m):
     with pytest.raises(ValueError, match="not a Hessenberg vector of length 4"):
