@@ -84,10 +84,6 @@ class Clan:
         return self.p + self.q
 
     @property
-    def num_pairs(self) -> int:
-        return (self.n - self.symbols.count(PLUS) - self.symbols.count(MINUS)) // 2
-
-    @property
     def arcs(self) -> tuple[tuple[int, int], ...]:
         """Pairs (i, j), i < j, of 1-indexed positions, one per label."""
         first: dict[int, int] = {}
@@ -169,12 +165,8 @@ def render_clan(clan: Clan) -> str:
     return text if len(text) == len(clan.symbols) else " ".join(map(str, clan.symbols))
 
 
-def clan_sort_key(clan: Clan) -> str:
-    return render_clan(clan)
-
-
 def enumerate_clans(p: int, q: int) -> tuple[Clan, ...]:
-    """All (p,q)-clans, in the text order of ``clan_sort_key``.
+    """All (p,q)-clans, in the text order of ``render_clan``.
 
     A depth-first walk fills the positions from the left, trying at each
     ``+``, ``-``, the close of each open label from the smallest up, and
@@ -328,7 +320,7 @@ def tau_clan(p: int, q: int) -> Clan:
 
 
 def interval_clans(p: int, q: int) -> tuple[Clan, ...]:
-    """The q! clans gamma_w, in the text order of ``clan_sort_key``.
+    """The q! clans gamma_w, in the text order of ``render_clan``.
 
     The text of gamma_w is 1..q +..+ w(1)..w(q), and ``symmetric_group``
     yields w in lexicographic order, which is text order for q <= 9.

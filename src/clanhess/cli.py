@@ -303,11 +303,15 @@ _VERIFY_TARGETS = {
     "monk": ("monk-products",),
     "irreducible": ("irreducible-classification",),
 }
+_VERIFY_OPTIONS = {"--max-n": ("irreducible", "oracle", "all"), "--seed": ("oracle", "all")}
 
 
 def _cmd_verify(args) -> tuple[int, list[str]]:
     if args.max_n is not None:
         verify_mod.check_max_total(args.max_n, "--max-n")
+    for flag, reached in _VERIFY_OPTIONS.items():
+        if getattr(args, flag[2:].replace("-", "_")) is not None and args.target not in reached:
+            raise ValueError(f"{flag} reaches only verify {'/'.join(reached)}, not verify {args.target}")
     checks = dict(verify_mod.CRITERIA)
     # without --max-n, each exhaustive scan keeps its own default limit
     limit = {} if args.max_n is None else {"max_total": args.max_n}
@@ -315,7 +319,7 @@ def _cmd_verify(args) -> tuple[int, list[str]]:
         verify_mod.irreducibility_checks, **limit
     )
     checks["geometric-oracle"] = functools.partial(
-        verify_mod.oracle_checks, seed=args.seed, **limit
+        verify_mod.oracle_checks, seed=args.seed or 0, **limit
     )
     names = [name for name, _ in verify_mod.CRITERIA]
     selected = names if args.target == "all" else list(_VERIFY_TARGETS[args.target])
@@ -405,7 +409,7 @@ def _build_parser() -> _Parser:
         help="largest p + q for exhaustive scans, at least 2 (default: 7 for the classification, "
         "6 for the geometric oracle, which never scans past 6)",
     )
-    ver.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
+    ver.add_argument("--seed", type=int, default=None, help="seed for randomized spot checks (default: 0)")
     ver.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
     return parser
 

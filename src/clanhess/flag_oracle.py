@@ -35,14 +35,12 @@ occurrence.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .clans import PLUS, Clan
 from .hessenberg import _hessenberg_vector
 
 __all__ = [
-    "FlagBasis",
     "flag_representative",
     "integer_rank",
     "least_hessenberg_vector",
@@ -52,24 +50,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FlagBasis:
-    """An ordered integer basis v_1, ..., v_n spanning a flag."""
-
-    p: int
-    q: int
-    vectors: tuple[tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return self.p + self.q
-
-
 @lru_cache(maxsize=64)
-def flag_representative(clan: Clan) -> FlagBasis:
-    """The standard representative flag of the orbit of a clan.
+def flag_representative(clan: Clan) -> tuple[tuple[int, ...], ...]:
+    """The standard representative flag of the orbit of a clan, as its
+    ordered integer basis v_1, ..., v_n.
 
-    >>> flag_representative(Clan("11")).vectors
+    >>> flag_representative(Clan("11"))
     ((1, 1), (1, -1))
     """
     n, p = clan.n, clan.p
@@ -92,7 +78,7 @@ def flag_representative(clan: Clan) -> FlagBasis:
             b = p + minuses + completed - 1
             rows[first][a] = rows[first][b] = rows[i][a] = 1
             rows[i][b] = -1
-    return FlagBasis(p, clan.q, tuple(map(tuple, rows)))
+    return tuple(map(tuple, rows))
 
 
 def integer_rank(rows) -> int:
@@ -162,7 +148,7 @@ def least_hessenberg_vector(clan: Clan) -> tuple[int, ...]:
     >>> least_hessenberg_vector(Clan("+-"))
     (1, 2)
     """
-    return _least_vector(flag_representative(clan).vectors, clan.p)
+    return _least_vector(flag_representative(clan), clan.p)
 
 
 def _within(least, m) -> bool:
@@ -219,7 +205,7 @@ def k_invariance_spotcheck(clan: Clan, m, trials: int = 8, seed: int = 0) -> boo
         g = random_k_element(p, clan.q, rng)
         moved = [
             tuple(sum(g[r][c] * v[c] for c in range(n)) for r in range(n))
-            for v in basis.vectors
+            for v in basis
         ]
         if _within(_least_vector(moved, p), m) != base:
             return False

@@ -22,22 +22,27 @@ each clan becomes n bytes, one code per position, and column f is one
 bytes object with byte c for ``clans[c]``.  The counts and pair entries
 are running sums of translated columns, added lane-wise as integers.
 
-Bit c of every mask stands for ``clans[c]``.  Only the down-sets are
-stored, at most N^2/8 bytes for N clans, and the clans are grouped into
+Bit c of every mask stands for ``clans[c]``.  The clans are grouped into
 rank layers by the sum of their flipped key.  The key is injective on one
 shape, so a < b implies sum(flipped(a)) < sum(flipped(b)): the sum is a
-strictly monotone rank, and no gradedness of the order is assumed.
-``covers()`` walks only the layers below each clan.  At (5,5), 45,297
-clans, the build takes 2.0-2.5 s and leaves 191 MB RSS, and ``covers()``
-takes 3.0-3.4 s, peaking at 227 MB (2-core Xeon, Python 3.11.7).
+strictly monotone rank, and no gradedness of the order is assumed.  Clans
+of equal rank are incomparable, so the highest layer that meets a set
+holds only maximal clans of it; ``top`` finds it by bisection over the
+running unions of the layers.  The down-sets, N^2/8 bytes for N clans,
+are built on the first read of ``down``; ``down_of`` makes one query
+without them.  ``covers()`` walks only the layers below each clan.  At
+(5,5), 45,297 clans, the build takes 0.3-0.6 s, the first read of
+``down`` 0.8-1.4 s (179 MB RSS), and ``covers()`` 2.0-2.8 s, peaking at
+211 MB (2-core Xeon, Python 3.11.7).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from functools import lru_cache, reduce
-from itertools import compress
-from operator import and_
+from itertools import accumulate, compress
+from operator import and_, or_
 
 from .clans import MINUS, PLUS, Clan, enumerate_clans
 
@@ -157,8 +162,9 @@ class InclusionPoset:
 
     ``down[j]`` has bit i set iff clans[i] <= clans[j], the diagonal
     included: one query on the flipped key masks (see the module
-    docstring).  No up-sets and no index over the clans are kept; ``maximal``
-    and ``covers`` read ``down`` in rank layers, the clans of equal key sum.
+    docstring), which ``down_of(j)`` makes alone.  All rows are built on
+    the first read of ``down``; ``maximal`` and ``covers`` read them in rank
+    layers, the clans of equal key sum, and ``top`` reads neither.
 
     Raises ValueError for an empty family, for clans of more than one shape
     (p,q), for a clan that occurs twice, and for n = p + q > 252, where the
@@ -171,7 +177,7 @@ class InclusionPoset:
     [('+-', '11'), ('-+', '11')]
     """
 
-    __slots__ = ("clans", "full", "down", "_layers", "_arc_ends")
+    __slots__ = ("clans", "full", "_down", "_masks", "_columns", "_layers", "_cum", "_arc_ends")
 
     def __init__(self, clans) -> None:
         self.clans: tuple[Clan, ...] = tuple(clans)
@@ -185,25 +191,44 @@ class InclusionPoset:
         n = p + q
         if n > _MAX_N:
             raise ValueError(f"need n = p + q <= {_MAX_N}, got (p,q)=({p},{q})")
-        self.full = full = (1 << len(self.clans)) - 1
+        self.full = (1 << len(self.clans)) - 1
         key, ends = _key_columns(self.clans, n, q)
         # x -> n - x makes the key order-preserving (see the module docstring);
-        # a constant coordinate gives an all-ones mask at every query
+        # a constant coordinate gives an all-ones mask at every query, and one
+        # is kept only for a family of one clan, so that zip gives it a row
         flip = bytes(range(n, -1, -1)) + bytes(255 - n)
-        columns = [col.translate(flip) for col in key if min(col) != max(col)]
+        self._columns = columns = [col.translate(flip) for col in key if min(col) != max(col)] or key[:1]
         del key  # the flipped copy replaces it; both together raised the (5,5) peak RSS by 2.5 MB
-        masks = _threshold_masks(columns, n)
-        # one row per clan even when no coordinate is left
-        rows = zip(*columns) if columns else [()] * len(self.clans)
-        down = []
+        self._masks = _threshold_masks(columns, n)
+        self._down = None
         layers: defaultdict[int, int] = defaultdict(int)
-        for c, row in enumerate(rows):
-            down.append(_below(masks, row, full))
+        for c, row in enumerate(zip(*columns)):
             layers[sum(row)] |= 1 << c
-        self.down = tuple(down)
-        # the rank layers from the top of the order down
+        # the rank layers from the top of the order down, and their running unions
         self._layers = [layers[rank] for rank in sorted(layers, reverse=True)]
+        self._cum = list(accumulate(self._layers, or_))
         self._arc_ends = _threshold_masks(ends, n)
+
+    @property
+    def down(self) -> tuple[int, ...]:
+        """All down-sets, built on the first read: N^2/8 bytes for N clans."""
+        if self._down is None:
+            masks, full = self._masks, self.full
+            self._down = tuple(_below(masks, row, full) for row in zip(*self._columns))
+        return self._down
+
+    def down_of(self, j: int) -> int:
+        """down[j], the down-set of clans[j], as one query that reads no row."""
+        return _below(self._masks, [column[j] for column in self._columns], self.full)
+
+    def top(self, mask: int) -> int:
+        """The clans of mask in the highest rank layer that meets it, each
+        maximal in mask, as a bitmask; 0 for the empty mask.
+
+        Precondition, checked: 0 <= mask <= full."""
+        self._check(mask)
+        # mask & cum[k] is 0 above the first union that meets mask, and >= 1 from it on
+        return mask and mask & self._cum[bisect_left(self._cum, 1, key=mask.__and__)]
 
     def contained(self, m) -> int:
         """The bitmask of the clans whose orbit closure lies in the
@@ -279,6 +304,6 @@ class InclusionPoset:
 @lru_cache(maxsize=2)
 def inclusion_poset(p: int, q: int) -> InclusionPoset:
     """The inclusion order on all (p,q)-clans, in ``enumerate_clans`` order,
-    so in the text order of ``clans.clan_sort_key``.  The cache holds the
+    so in the text order of ``clans.render_clan``.  The cache holds the
     two most recent shapes."""
     return InclusionPoset(enumerate_clans(p, q))

@@ -27,7 +27,6 @@ from itertools import repeat
 
 from .clans import (
     Clan,
-    clan_sort_key,
     dense_clan,
     enumerate_clans,
     gamma_w,
@@ -136,7 +135,7 @@ def covers_from(clan: Clan) -> tuple[LabeledCover, ...]:
         )
         for target, moves in by_target.items()
     ]
-    covers.sort(key=lambda cov: clan_sort_key(cov.target))
+    covers.sort(key=lambda cov: render_clan(cov.target))
     return tuple(covers)
 
 
@@ -149,9 +148,6 @@ class WeakOrderGraph:
     interval_only: bool
     nodes: tuple[Clan, ...]
     covers: tuple[LabeledCover, ...]
-
-    def covers_of(self, clan: Clan) -> tuple[LabeledCover, ...]:
-        return tuple(c for c in self.covers if c.source == clan)
 
 
 def build_graph(p: int, q: int, interval_only: bool = False) -> WeakOrderGraph:

@@ -233,6 +233,23 @@ def test_verify_rejects_max_n_below_2(capsys):
     assert lines[0].startswith("PASS criterion 2 (irreducible-classification): 1 shapes,")
 
 
+@pytest.mark.parametrize(
+    "argv, reached",
+    [
+        (["wsets", "--max-n", "9"], "--max-n reaches only verify irreducible/oracle/all, not verify wsets"),
+        (["monk", "--max-n", "3", "--seed", "5"], "--max-n reaches only verify irreducible/oracle/all, not verify monk"),
+        (["monk", "--seed", "5"], "--seed reaches only verify oracle/all, not verify monk"),
+        (["wsets", "--seed", "0"], "--seed reaches only verify oracle/all, not verify wsets"),
+        (["irreducible", "--seed", "5"], "--seed reaches only verify oracle/all, not verify irreducible"),
+    ],
+)
+def test_verify_rejects_an_option_its_target_ignores(argv, reached, capsys):
+    # a seed the user gave is told from the default, even when it equals it
+    assert main(["verify", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"clanhess: error: {reached}\n"
+
+
 @pytest.mark.parametrize("check", [verify.irreducibility_checks, verify.oracle_checks])
 @pytest.mark.parametrize("bad", [1, 0, -2])
 def test_exhaustive_scans_reject_max_total_below_2(check, bad):
@@ -267,11 +284,13 @@ def test_degenerate_classification_fails_criterion_2(capsys, monkeypatch):
     assert "degenerate at (2,1)" in lines[0]
 
 
-_MAXIMAL, _CONTAINED = InclusionPoset.maximal, InclusionPoset.contained
+_CONTAINED = InclusionPoset.contained
 
 
-def _first_maximal_only(self, mask):
-    return _MAXIMAL(self, mask)[:1]
+def _principal_mask_at_1_2(self, m):
+    # at (1,1), m = (1, 2) contains the two maximal clans +- and -+; the fake
+    # keeps only +-, which is then the one maximal clan and its own down-set
+    return 0b1 if tuple(m) == (1, 2) else _CONTAINED(self, m)
 
 
 def _full_mask_without_bit_0(self, m):
@@ -282,8 +301,7 @@ def _full_mask_without_bit_0(self, m):
 @pytest.mark.parametrize(
     "owner,attr,fake,message",
     [
-        # at (1,1), m = (1, 2) has the two maximal clans +- and -+
-        (InclusionPoset, "maximal", _first_maximal_only, "m=(1, 2): irreducible=True, expected False"),
+        (InclusionPoset, "contained", _principal_mask_at_1_2, "m=(1, 2): irreducible=True, expected False"),
         (verify, "as_interval_permutation", lambda clan: None, "m=(2, 2): wrong witness"),
         (verify, "gamma_w", lambda w, p: parse_clan("+-"), "m=(2, 2): component is not gamma_w"),
         # 11 stays the one maximal clan of {-+, 11}, whose down-set is all three clans

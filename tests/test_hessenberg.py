@@ -3,13 +3,13 @@
 import pytest
 
 from clanhess.clans import (
-    clan_sort_key,
     dense_clan,
     enumerate_clans,
     gamma_w,
     inclusion_leq,
     orbit_dimension,
     parse_clan,
+    render_clan,
 )
 from clanhess.hessenberg import (
     area,
@@ -126,7 +126,7 @@ def test_irreducible_iff_m_comes_from_231_avoiding_w(p, q):
     by_m = {m: w for w, m in classified.items()}
     for m in hessenberg_vectors(p + q):
         report = hess_orbit_report(p, q, m)
-        assert list(report.maximal) == sorted(report.maximal, key=clan_sort_key)
+        assert list(report.maximal) == sorted(report.maximal, key=render_clan)
         if m in by_m:
             w = by_m[m]
             assert report.irreducible

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from clanhess import clans as clans_mod
+from clanhess import verify
 from clanhess.clans import Clan, enumerate_clans, inclusion_leq, interval_clans, statistics
 from clanhess.hessenberg import hess_orbit_report, hessenberg_vectors, orbit_in_hess
 from clanhess.poset import InclusionPoset, _key_columns, inclusion_poset, members
@@ -75,6 +76,8 @@ def test_masks_outside_the_family_are_rejected(mask):
         poset.select(mask)
     with pytest.raises(ValueError, match="family of 6 clans"):
         poset.maximal(mask)
+    with pytest.raises(ValueError, match="family of 6 clans"):
+        poset.top(mask)
 
 
 @pytest.mark.parametrize("p,q", SHAPES_UP_TO_8)
@@ -195,6 +198,38 @@ def test_covers_are_the_maximal_elements_of_each_strict_down_set(p, q):
     poset = inclusion_poset(p, q)
     want = sorted((i, j) for j, below in enumerate(poset.down) for i in poset.maximal(below ^ 1 << j))
     assert poset.covers() == want
+
+
+@pytest.mark.parametrize("p,q", SHAPES_UP_TO_8)
+def test_down_of_is_the_stored_row(p, q):
+    # a fresh poset: down_of answers before the rows are built
+    poset = InclusionPoset(enumerate_clans(p, q))
+    got = [poset.down_of(j) for j in range(len(poset.clans))]
+    assert got == list(poset.down)
+
+
+@pytest.mark.parametrize("p,q", SHAPES_UP_TO_7)
+def test_top_is_the_highest_layer_of_maximal(p, q):
+    poset = inclusion_poset(p, q)
+    key, _ = _key_columns(poset.clans, p + q, q)
+    ranks = [sum(row) for row in zip(*key)]  # falls up the order
+    rng = random.Random(p * 10 + q)
+    masks = [poset.contained(m) for m in hessenberg_vectors(p + q)]
+    masks += [0] + [rng.getrandbits(len(poset.clans)) for _ in range(50)]
+    for mask in masks:
+        highest = min((ranks[i] for i in members(mask)), default=None)
+        want = [i for i in poset.maximal(mask) if ranks[i] == highest]
+        assert members(poset.top(mask)) == want == [i for i in members(mask) if ranks[i] == highest]
+
+
+def test_criterion_2_reads_no_row_and_no_maximal(monkeypatch):
+    def unused(*args):
+        raise AssertionError("criterion 2 reads no stored row and calls no maximal")
+
+    monkeypatch.setattr(InclusionPoset, "down", property(unused))
+    monkeypatch.setattr(InclusionPoset, "maximal", unused)
+    result = verify.irreducibility_checks(max_total=7)
+    assert result.passed, result.detail
 
 
 def test_a_repeated_clan_is_rejected():

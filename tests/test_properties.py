@@ -203,7 +203,7 @@ def test_least_vector_is_k_invariant(clan, seed):
     n = clan.n
     moved = [
         tuple(sum(g[r][c] * v[c] for c in range(n)) for r in range(n))
-        for v in flag_representative(clan).vectors
+        for v in flag_representative(clan)
     ]
     assert _least_vector(moved, clan.p) == least_hessenberg_vector(clan)
 
