@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .perms import Permutation, symmetric_group
 
@@ -117,8 +117,7 @@ class Clan:
         return f"Clan({render_clan(self)!r})"
 
 
-@dataclass(frozen=True)
-class ClanStatistics:
+class ClanStatistics(NamedTuple):
     """The three families of orbit invariants attached to a clan.
 
     plus_counts[i-1] counts pluses and completed pairs among the first i

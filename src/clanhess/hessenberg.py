@@ -14,7 +14,7 @@ permutations w in S_q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .clans import Clan, as_interval_permutation, clan_to_json
 from .perms import Permutation, avoids, h_vector, render_permutation, symmetric_group
@@ -113,8 +113,7 @@ def orbit_in_hess(clan: Clan, m) -> bool:
     return all(m[i - 1] >= j for (i, j) in clan.arcs)
 
 
-@dataclass(frozen=True)
-class HessOrbitReport:
+class HessOrbitReport(NamedTuple):
     """Orbit-closure decomposition of one Hessenberg variety."""
 
     p: int

@@ -11,7 +11,6 @@ fixed), so equality and hashing ignore trailing fixed points.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 __all__ = [
     "Permutation",
@@ -28,10 +27,10 @@ __all__ = [
     "render_word",
 ]
 
-_setattr = object.__setattr__  # the frozen dataclass sets its fields through this
+# Permutation.__setattr__ refuses assignment; its constructor sets the slots through this
+_setattr = object.__setattr__
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Permutation:
     """A permutation of [n] in one-line notation.
 
@@ -46,10 +45,13 @@ class Permutation:
     True
     """
 
-    images: tuple[int, ...]
-    # one-line notation with trailing fixed points removed, set once by
-    # __post_init__; equality and hashing read it
-    key: tuple[int, ...] = field(init=False, repr=False)
+    # images: the one-line notation; key: the same with trailing fixed points
+    # removed, set once by __post_init__; equality and hashing read it
+    __slots__ = ("images", "key")
+
+    def __init__(self, images) -> None:
+        _setattr(self, "images", images)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         images = tuple(map(int, self.images))
@@ -61,6 +63,15 @@ class Permutation:
         while end and images[end - 1] == end:
             end -= 1
         _setattr(self, "key", images[:end])
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"Permutation is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Permutation is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.images,)
 
     # -- construction -------------------------------------------------------
 

@@ -39,7 +39,7 @@ without them.  ``covers()`` walks only the layers below each clan.  At
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter, defaultdict
+from collections import Counter
 from functools import lru_cache, reduce
 from itertools import accumulate, compress
 from operator import and_, or_
@@ -201,11 +201,14 @@ class InclusionPoset:
         del key  # the flipped copy replaces it; both together raised the (5,5) peak RSS by 2.5 MB
         self._masks = _threshold_masks(columns, n)
         self._down = None
-        layers: defaultdict[int, int] = defaultdict(int)
-        for c, row in enumerate(zip(*columns)):
-            layers[sum(row)] |= 1 << c
+        # one bitmap per rank, each filled bit by bit and read as an integer
+        # once, so the layers cost linear time in the number of clans
+        ranks = list(map(sum, zip(*columns)))
+        bitmaps = {rank: bytearray((len(ranks) + 7) >> 3) for rank in set(ranks)}
+        for c, rank in enumerate(ranks):
+            bitmaps[rank][c >> 3] |= 1 << (c & 7)
         # the rank layers from the top of the order down, and their running unions
-        self._layers = [layers[rank] for rank in sorted(layers, reverse=True)]
+        self._layers = [int.from_bytes(bitmaps[rank], "little") for rank in sorted(bitmaps, reverse=True)]
         self._cum = list(accumulate(self._layers, or_))
         self._arc_ends = _threshold_masks(ends, n)
 

@@ -41,9 +41,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from itertools import product
 from operator import le
+from typing import NamedTuple
 
 from .clans import (
     as_interval_permutation,
@@ -88,8 +88,7 @@ from .schubert import (
 from .weak_order import MOVE_TYPES, build_graph, covers_from, factorization_bijection, interval_iso_check, w_set
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one verification criterion."""
 
     name: str

@@ -22,8 +22,8 @@ the orbit-closure cohomology class.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 from .clans import (
     Clan,
@@ -51,8 +51,7 @@ __all__ = [
 MOVE_TYPES = ("IA1", "IA2", "IB", "IC1", "IC2", "II")
 
 
-@dataclass(frozen=True)
-class LabeledCover:
+class LabeledCover(NamedTuple):
     """A covering relation source < target with its move labels.
 
     labels[k] is a position i, meaning the move happened at (i, i+1) and
@@ -139,8 +138,7 @@ def covers_from(clan: Clan) -> tuple[LabeledCover, ...]:
     return tuple(covers)
 
 
-@dataclass(frozen=True)
-class WeakOrderGraph:
+class WeakOrderGraph(NamedTuple):
     """The labeled cover digraph of the weak order on (p,q)-clans."""
 
     p: int

@@ -81,6 +81,18 @@ def test_copy_and_pickle_round_trips():
             assert (twin.images, twin.key) == (w.images, w.key)
 
 
+def test_permutations_refuse_assignment_and_deletion():
+    w = Permutation((2, 1))
+    for name in ("images", "key", "other"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(w, name, (1,))
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(w, name)
+    assert (w.images, w.key) == ((2, 1), (2, 1))
+    with pytest.raises(AttributeError):
+        w.__dict__
+
+
 def test_length_against_inversion_count():
     # oracle: direct inversion count over all index pairs
     for n in range(1, 6):

@@ -180,6 +180,18 @@ def test_key_sum_strictly_decreases_up_the_order(p, q):
         assert all(ranks[i] > ranks[j] for i in members(below ^ 1 << j))
 
 
+@pytest.mark.parametrize("p,q", SHAPES_UP_TO_8)
+@pytest.mark.parametrize("interval", [False, True])
+def test_layers_hold_one_bit_per_clan_by_key_sum(p, q, interval):
+    """The layers, built from one bitmap per rank, against setting bit c in
+    the layer of rank(clans[c]) clan by clan, highest rank first."""
+    poset = InclusionPoset(interval_clans(p, q) if interval else enumerate_clans(p, q))
+    layers = {}
+    for c, row in enumerate(zip(*poset._columns)):
+        layers[sum(row)] = layers.get(sum(row), 0) | 1 << c
+    assert poset._layers == [layers[rank] for rank in sorted(layers, reverse=True)]
+
+
 @pytest.mark.parametrize(
     "p,q,interval",
     [(3, 3, False), (3, 3, True), (4, 3, False), (4, 3, True), (2, 1, True)],
