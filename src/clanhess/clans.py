@@ -164,6 +164,11 @@ def render_clan(clan: Clan) -> str:
     return text if len(text) == len(clan.symbols) else " ".join(map(str, clan.symbols))
 
 
+def _check_shape(p: int, q: int) -> None:
+    if not p >= q >= 1:
+        raise ValueError(f"need p >= q >= 1, got ({p},{q})")
+
+
 def enumerate_clans(p: int, q: int) -> tuple[Clan, ...]:
     """All (p,q)-clans, in the text order of ``render_clan``.
 
@@ -179,8 +184,7 @@ def enumerate_clans(p: int, q: int) -> tuple[Clan, ...]:
     >>> [str(c) for c in enumerate_clans(1, 1)]
     ['+-', '-+', '11']
     """
-    if not p >= q >= 1:
-        raise ValueError(f"need p >= q >= 1, got ({p},{q})")
+    _check_shape(p, q)
     n = p + q
     found = []
 
@@ -204,6 +208,7 @@ def enumerate_clans(p: int, q: int) -> tuple[Clan, ...]:
 
 def clan_count(p: int, q: int) -> int:
     """Closed-form count: sum over ell of C(n,2ell)(2ell-1)!!C(n-2ell,p-ell)."""
+    _check_shape(p, q)
     n = p + q
     total = 0
     for ell in range(q + 1):

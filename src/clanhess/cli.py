@@ -31,7 +31,6 @@ length then one-line notation) so output is diffable.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
@@ -89,10 +88,9 @@ def _clan_argument(text: str, p: int | None, q: int | None) -> Clan:
 
 def _parse_vector(text: str) -> tuple[int, ...]:
     text = text.strip()
-    if "," in text:
-        return tuple(int(s) for s in text.split(","))
-    if text.isdigit():
-        return tuple(int(ch) for ch in text)
+    entries = text.split(",") if "," in text else list(text)
+    if entries and all(entry.strip().isdecimal() for entry in entries):
+        return tuple(map(int, entries))
     raise ValueError(f"bad Hessenberg vector {text!r}: expected 1,3,4,4 or compact digits")
 
 
@@ -297,39 +295,23 @@ def _cmd_scan(args) -> tuple[int, list[str]]:
     return 0, lines
 
 
-_VERIFY_TARGETS = {
-    "oracle": ("geometric-oracle",),
-    "wsets": ("w-set-bijection",),
-    "monk": ("monk-products",),
-    "irreducible": ("irreducible-classification",),
-}
-_VERIFY_OPTIONS = {"--max-n": ("irreducible", "oracle", "all"), "--seed": ("oracle", "all")}
-
-
 def _cmd_verify(args) -> tuple[int, list[str]]:
     if args.max_n is not None:
         verify_mod.check_max_total(args.max_n, "--max-n")
-    for flag, reached in _VERIFY_OPTIONS.items():
-        if getattr(args, flag[2:].replace("-", "_")) is not None and args.target not in reached:
+    options = (("--max-n", "max_total", args.max_n), ("--seed", "seed", args.seed))
+    # without --max-n or --seed, each check keeps its own default
+    given = {key: value for _, key, value in options if value is not None}
+    for flag, key, _ in options:
+        reached = [row[1] for row in verify_mod.CRITERIA if row[1] and key in row[3]] + ["all"]
+        if key in given and args.target not in reached:
             raise ValueError(f"{flag} reaches only verify {'/'.join(reached)}, not verify {args.target}")
-    checks = dict(verify_mod.CRITERIA)
-    # without --max-n, each exhaustive scan keeps its own default limit
-    limit = {} if args.max_n is None else {"max_total": args.max_n}
-    checks["irreducible-classification"] = functools.partial(
-        verify_mod.irreducibility_checks, **limit
-    )
-    checks["geometric-oracle"] = functools.partial(
-        verify_mod.oracle_checks, seed=args.seed or 0, **limit
-    )
-    names = [name for name, _ in verify_mod.CRITERIA]
-    selected = names if args.target == "all" else list(_VERIFY_TARGETS[args.target])
-    results = [checks[name]() for name in selected]
-    lines = [
-        verify_mod.format_result(res, names.index(name) + 1)
-        for name, res in zip(selected, results)
+    results = [
+        (i, check(**{key: given[key] for key in keys if key in given}))
+        for i, (_, target, check, keys) in enumerate(verify_mod.CRITERIA, 1)
+        if args.target in ("all", target)
     ]
-    status = 0 if all(res.passed for res in results) else 2
-    return status, lines
+    status = 0 if all(res.passed for _, res in results) else 2
+    return status, [verify_mod.format_result(res, i) for i, res in results]
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +383,7 @@ def _build_parser() -> _Parser:
     common(mf, formats=())
 
     ver = sub.add_parser("verify", help="run verification criteria")
-    ver.add_argument("target", choices=("all", "oracle", "wsets", "monk", "irreducible"))
+    ver.add_argument("target", choices=("all", *(row[1] for row in verify_mod.CRITERIA if row[1])))
     ver.add_argument(
         "--max-n",
         type=int,

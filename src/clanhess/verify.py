@@ -35,6 +35,7 @@ single :class:`CheckResult`:
    relations, and Schubert expansion inverts Schubert construction.
 
 Run everything with ``clanhess verify all`` or via :func:`run_all`.
+``CRITERIA`` is the table the CLI reads, so a new criterion is one row.
 """
 
 from __future__ import annotations
@@ -568,24 +569,26 @@ def structural_checks() -> CheckResult:
 # runner
 # ---------------------------------------------------------------------------
 
-CRITERIA: tuple[tuple[str, object], ...] = (
-    ("worked-examples", worked_example_checks),
-    ("irreducible-classification", irreducibility_checks),
-    ("dimension-formulas", dimension_checks),
-    ("geometric-oracle", oracle_checks),
-    ("w-set-bijection", wset_checks),
-    ("two-sided-order", two_sided_order_checks),
-    ("monk-products", monk_checks),
-    ("structural-invariants", structural_checks),
+# one row per criterion: its name, the ``clanhess verify`` target that runs it
+# alone (None: only ``verify all``), its check, and the keywords of the check
+# that ``--max-n`` (max_total) and ``--seed`` (seed) reach
+CRITERIA: tuple[tuple[str, str | None, object, tuple[str, ...]], ...] = (
+    ("worked-examples", None, worked_example_checks, ()),
+    ("irreducible-classification", "irreducible", irreducibility_checks, ("max_total",)),
+    ("dimension-formulas", None, dimension_checks, ()),
+    ("geometric-oracle", "oracle", oracle_checks, ("max_total", "seed")),
+    ("w-set-bijection", "wsets", wset_checks, ()),
+    ("two-sided-order", None, two_sided_order_checks, ()),
+    ("monk-products", "monk", monk_checks, ()),
+    ("structural-invariants", None, structural_checks, ()),
 )
 
 
-def format_result(result: CheckResult, index: int | None = None) -> str:
+def format_result(result: CheckResult, index: int) -> str:
     tag = "PASS" if result.passed else "FAIL"
-    label = f"criterion {index} ({result.name})" if index is not None else result.name
-    return f"{tag} {label}: {result.detail} [{result.seconds:.2f}s]"
+    return f"{tag} criterion {index} ({result.name}): {result.detail} [{result.seconds:.2f}s]"
 
 
 def run_all() -> list[CheckResult]:
     """Run every criterion in order and return the results."""
-    return [check() for _, check in CRITERIA]
+    return [check() for _, _, check, _ in CRITERIA]

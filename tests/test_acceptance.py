@@ -49,5 +49,5 @@ def test_criterion_8_structural_invariants():
 
 
 def test_every_criterion_is_covered():
-    names = [name for name, _ in verify.CRITERIA]
+    names = [name for name, _, _, _ in verify.CRITERIA]
     assert len(names) == 8 and len(set(names)) == 8

@@ -71,6 +71,15 @@ def test_enumerate_counts_small():
     assert [str(c) for c in enumerate_clans(1, 1)] == ["+-", "-+", "11"]
 
 
+@pytest.mark.parametrize("p, q", [(1, 2), (0, 0), (2, 0), (-1, -1)])
+def test_count_refuses_the_shapes_enumeration_refuses(p, q):
+    message = f"need p >= q >= 1, got \\({p},{q}\\)$"
+    with pytest.raises(ValueError, match=message):
+        enumerate_clans(p, q)
+    with pytest.raises(ValueError, match=message):
+        clan_count(p, q)
+
+
 def _canonical_words(p, q):
     """Brute force: every word over {+, -, 1..q} of length p + q that Clan
     accepts unchanged with shape (p, q), in render_clan text order."""

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line front end (exit codes and output)."""
 
 import json
+import re
 
 import pytest
 
@@ -123,6 +124,14 @@ def test_hess_report_text_and_json(capsys):
 def test_hess_report_rejects_bad_vector(capsys):
     status, _ = run(capsys, "hess", "report", "--p", "2", "--q", "2", "1,2,3,9")
     assert status == 1
+
+
+@pytest.mark.parametrize("vector", ["1,3,,4", "2.0,2", "1,3,4,", "13a4", ""])
+def test_hess_report_names_an_unreadable_vector(vector, capsys):
+    assert main(["hess", "report", "--p", "2", "--q", "2", vector]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"clanhess: error: bad Hessenberg vector {vector!r}: expected 1,3,4,4 or compact digits\n"
 
 
 def test_hess_dim(capsys):
@@ -264,13 +273,65 @@ def test_verify_failure_exits_2(capsys, monkeypatch):
         return verify.CheckResult("w-set-bijection", False, "forced failure", 0.0)
 
     patched = tuple(
-        (name, failing if name == "w-set-bijection" else check)
-        for name, check in verify.CRITERIA
+        (name, target, failing if name == "w-set-bijection" else check, keys)
+        for name, target, check, keys in verify.CRITERIA
     )
     monkeypatch.setattr(verify, "CRITERIA", patched)
     status, lines = run(capsys, "verify", "wsets")
     assert status == 2
     assert lines[0].startswith("FAIL criterion 5")
+
+
+_VERIFY_ALL = [
+    "PASS criterion 1 (worked-examples): statistics triple, flag representative, 3 W-sets, "
+    "labeled (3,3) interval graph, and 5 divisor-product lists reproduced "
+    "(3 documented list corrections, oracle-confirmed)",
+    "PASS criterion 2 (irreducible-classification): 12 shapes, 1802 Hessenberg vectors: "
+    "irreducible iff m = m(w) for 231-avoiding w, Catalan counts, unique component gamma_w, "
+    "contained sets are lower ideals",
+    "PASS criterion 3 (dimension-formulas): 66 (w, p) pairs: length formula = area = orbit dimension exactly",
+    "PASS criterion 4 (geometric-oracle): 50402 (clan, m) membership agreements across p + q <= 6, "
+    "54 K-invariance spot checks",
+    "PASS criterion 5 (w-set-bijection): 99 (w, p) pairs: recursive W-set = bijection image, "
+    "cardinalities match",
+    "PASS criterion 6 (two-sided-order): 12 interval graphs isomorphic to two-sided weak order "
+    "with matching labels; 3214 vs 3412 separates Bruhat from two-sided weak order",
+    "PASS criterion 7 (monk-products): 714 divisor products multiplicity-free; "
+    "stable rule = polynomial oracle on 96 S4 products",
+    "PASS criterion 8 (structural-invariants): 3485 covers refine inclusion with unit dimension step; "
+    "partial-order axioms on 1390 poset nodes (p + q <= 7); 20 clan counts match the closed form "
+    "(p + q <= 9); 2772 divided-difference relation instances; expansion inverts construction "
+    "on 24 S4 polynomials",
+]
+
+
+def test_verify_all_prints_the_eight_recorded_lines(capsys):
+    # the benchmark's cli-oneshot digests this text with the timings stripped
+    status, lines = run(capsys, "verify", "all")
+    assert status == 0
+    assert [re.sub(r" \[\d+\.\d\ds\]$", "", line) for line in lines] == _VERIFY_ALL
+
+
+def test_a_new_criterion_is_one_row(capsys, monkeypatch):
+    calls = []
+
+    def extra_checks(max_total=5):
+        calls.append(max_total)
+        return verify.CheckResult("extra", True, f"p + q <= {max_total}", 0.0)
+
+    row = ("extra", "extra", extra_checks, ("max_total",))
+    monkeypatch.setattr(verify, "CRITERIA", (*verify.CRITERIA, row))
+    status, lines = run(capsys, "verify", "extra", "--max-n", "3")
+    assert (status, lines, calls) == (0, ["PASS criterion 9 (extra): p + q <= 3 [0.00s]"], [3])
+    assert main(["verify", "wsets", "--max-n", "3"]) == 1
+    reached = "--max-n reaches only verify irreducible/oracle/extra/all, not verify wsets"
+    assert capsys.readouterr().err == f"clanhess: error: {reached}\n"
+    assert main(["verify", "extra", "--seed", "1"]) == 1
+    assert capsys.readouterr().err == "clanhess: error: --seed reaches only verify oracle/all, not verify extra\n"
+    # verify all hands each check only its row's keywords
+    status, lines = run(capsys, "verify", "all", "--max-n", "4", "--seed", "1")
+    assert status == 0 and len(lines) == 9 and calls == [3, 4]
+    assert "(irreducible-classification): 4 shapes," in lines[1] and "across p + q <= 4," in lines[3]
 
 
 def test_degenerate_classification_fails_criterion_2(capsys, monkeypatch):
