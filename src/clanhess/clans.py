@@ -50,6 +50,11 @@ MINUS = "-"
 class Clan:
     """A (p,q)-clan in canonical form.
 
+    The constructor relabels the pair labels in order of first appearance
+    and validates the input (each label exactly twice, p >= q >= 1), else
+    ValueError.  The clans ``enumerate_clans`` generates are canonical by
+    construction and skip that check.
+
     >>> str(Clan(("5", "+", "+", 3, "-", "+", 3, "5", "+")))
     '1++2-+21+'
     >>> Clan((1, 1)).p, Clan((1, 1)).q
@@ -190,7 +195,10 @@ def enumerate_clans(p: int, q: int) -> tuple[Clan, ...]:
 
     def walk(word: tuple, pluses: int, minuses: int, opened: tuple[int, ...], labels: int) -> None:
         if len(word) == n:
-            found.append(Clan(word))
+            # word is canonical with signature (p, q): no validation needed
+            leaf = object.__new__(Clan)
+            leaf.symbols, leaf.p, leaf.q = word, p, q
+            found.append(leaf)
             return
         if pluses:
             walk(word + (PLUS,), pluses - 1, minuses, opened, labels)

@@ -11,6 +11,7 @@ fixed), so equality and hashing ignore trailing fixed points.
 from __future__ import annotations
 
 import itertools
+from operator import index
 
 __all__ = [
     "Permutation",
@@ -34,6 +35,11 @@ _setattr = object.__setattr__
 class Permutation:
     """A permutation of [n] in one-line notation.
 
+    The constructor validates its input: each entry must be an integer
+    (``operator.index``) and the entries must be 1..n in some order, else
+    ValueError.  Results that a kernel derives from already-valid
+    permutations (Monk product terms, W-set elements) skip that check.
+
     >>> w = Permutation((3, 1, 2))
     >>> w(1), w(2), w(17)
     (3, 1, 17)
@@ -54,7 +60,10 @@ class Permutation:
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        images = tuple(map(int, self.images))
+        try:
+            images = tuple(map(index, self.images))
+        except TypeError:
+            raise ValueError(f"not a permutation of 1..n: {self.images!r}") from None
         _setattr(self, "images", images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..n: {images!r}")
@@ -235,6 +244,16 @@ class Permutation:
     def support(self) -> frozenset[int]:
         """Letters appearing in any (equivalently, every) reduced word."""
         return frozenset(self.reduced_word())
+
+
+def _from_key(key: tuple[int, ...]) -> Permutation:
+    """``Permutation(key)`` without the validating constructor, for a tuple
+    of ints the caller knows to be a permutation of 1..len(key) with no
+    trailing fixed point; ``images`` and ``key`` are both that tuple."""
+    w = object.__new__(Permutation)
+    _setattr(w, "images", key)
+    _setattr(w, "key", key)
+    return w
 
 
 def trim_fixed_points(images) -> tuple[int, ...]:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import chain, zip_longest
 
 from .clans import Clan
-from .perms import Permutation, render_permutation, trim_fixed_points
+from .perms import Permutation, _from_key, render_permutation, trim_fixed_points
 from .weak_order import w_set
 
 __all__ = [
@@ -359,7 +359,8 @@ def monk_product(m: int, expansion: SchubertExpansion, n: int | None = None) -> 
                         move[j], move[k] = v, low
                         key = trim_fixed_points(move)
                         out[key] = out.get(key, 0) + coeff
-    return SchubertExpansion({Permutation(w): c for w, c in out.items()})
+    # each term swaps two entries of a valid u, so it needs no validation
+    return SchubertExpansion({_from_key(w): c for w, c in out.items()})
 
 
 def product_oracle(m: int, expansion: SchubertExpansion) -> SchubertExpansion:

@@ -260,7 +260,10 @@ def check_max_total(max_total: int, name: str = "max_total") -> None:
         raise ValueError(f"{name} must be at least 2, the p + q of the smallest shape (1,1), got {max_total}")
 
 
-def irreducibility_checks(max_total: int = 7) -> CheckResult:
+CLASSIFICATION_MAX_TOTAL = 7  # criterion 2's default bound on p + q
+
+
+def irreducibility_checks(max_total: int = CLASSIFICATION_MAX_TOTAL) -> CheckResult:
     """Criterion 2: exhaustive irreducibility classification for 2 <= p + q <= max_total."""
     check_max_total(max_total)
     t0 = time.perf_counter()

@@ -33,7 +33,7 @@ from .clans import (
     interval_clans,
     render_clan,
 )
-from .perms import Permutation, factorization_pairs, phi, symmetric_group, trim_fixed_points
+from .perms import Permutation, _from_key, factorization_pairs, phi, symmetric_group, trim_fixed_points
 
 __all__ = [
     "LabeledCover",
@@ -223,7 +223,8 @@ def w_set(clan: Clan, _cache: dict | None = None) -> frozenset[Permutation]:
 
     elements = rec(clan.symbols)
     for x in elements.difference(table):
-        table[x] = Permutation(trim_fixed_points(x))
+        # x is a translate of the identity, so it needs no validation
+        table[x] = _from_key(trim_fixed_points(x))
     return frozenset(map(table.__getitem__, elements))
 
 

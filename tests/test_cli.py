@@ -417,3 +417,15 @@ def test_unknown_subcommand_exits_1():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 1
+
+
+def test_verify_help_shows_the_check_defaults(capsys, monkeypatch):
+    # the --max-n help is built from the two constants, not restated by hand
+    for classification, oracle in ((verify.CLASSIFICATION_MAX_TOTAL, verify.ORACLE_MAX_TOTAL), (9, 5)):
+        monkeypatch.setattr(verify, "CLASSIFICATION_MAX_TOTAL", classification)
+        monkeypatch.setattr(verify, "ORACLE_MAX_TOTAL", oracle)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"default: {classification} for the classification, {oracle} for the geometric oracle" in text

@@ -41,6 +41,10 @@ def test_validation_rejects_non_bijections():
         Permutation((0, 1))
     with pytest.raises(ValueError):
         Permutation((2, 3))
+    # entries go through operator.index: no float is truncated, no string parsed
+    for images in ((1.5, 2), ("2", "1"), (2.0, 1), (None,)):
+        with pytest.raises(ValueError, match="not a permutation of 1..n"):
+            Permutation(images)
 
 
 def test_key_is_the_trimmed_one_line_notation():
@@ -63,15 +67,17 @@ def test_post_init_runs_once_per_permutation(monkeypatch):
     monkeypatch.setattr(Permutation, "__post_init__", counted)
     built = [Permutation(w) for w in itertools.permutations(range(1, 5))]
     assert len(calls) == len(built) == 24
-    # a Monk product builds each distinct result term once, and the
-    # expansion constructor builds none
+    # a Monk product builds its terms from a valid u with no validating
+    # build, and the expansion constructor builds none
     expansion = brion_class(Clan("1+2-12"))
     calls.clear()
     product = monk_product(2, expansion, n=6)
-    assert len(calls) == len(product.coeffs) > 0
-    calls.clear()
+    assert calls == [] and product.coeffs
     SchubertExpansion(product.coeffs)
     assert calls == []
+    for w in product.coeffs:
+        twin = Permutation(w.key)
+        assert (w.images, w.key) == (twin.images, twin.key) and w == twin and hash(w) == hash(twin)
 
 
 def test_copy_and_pickle_round_trips():

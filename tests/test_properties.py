@@ -38,6 +38,7 @@ from clanhess.perms import Permutation  # noqa: E402
 from clanhess.poset import InclusionPoset  # noqa: E402
 from clanhess.schubert import SchubertExpansion, monk_product, product_oracle  # noqa: E402
 from clanhess.weak_order import _SWAP, covers_from  # noqa: E402
+from test_fast_path import assert_matches_validated_build  # noqa: E402
 
 FIXED = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -148,6 +149,17 @@ def test_monk_product_matches_the_polynomial_oracle(factor_and_expansion):
     n = max(max(len(u.key) for u in expansion.coeffs), m + 1)
     truncated = {w: c for w, c in stable.coeffs.items() if len(w.key) <= n}
     assert monk_product(m, expansion, n=n).coeffs == truncated
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.permutations(range(1, 6)), st.integers(1, 5))
+def test_stable_monk_terms_match_validated_builds(images, m):
+    # monk_product builds its terms without the validating constructor
+    expansion = SchubertExpansion({Permutation(images): 1})
+    stable = monk_product(m, expansion)
+    assert stable == product_oracle(m, expansion)
+    for w in stable.coeffs:
+        assert_matches_validated_build(w)
 
 
 def fraction_rank(rows):
