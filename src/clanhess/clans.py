@@ -34,8 +34,6 @@ __all__ = [
     "orbit_dimension",
     "gamma_w",
     "dense_clan",
-    "sigma_clan",
-    "tau_clan",
     "interval_clans",
     "as_interval_permutation",
     "gamma_w_pair_statistic",
@@ -101,13 +99,6 @@ class Clan:
                     first[c] = pos
         arcs.sort()
         return tuple(arcs)
-
-    @property
-    def charges(self) -> tuple[tuple[int, str], ...]:
-        """Pairs (position, sign) for the signed positions, 1-indexed."""
-        return tuple(
-            (pos, c) for pos, c in enumerate(self.symbols, 1) if not isinstance(c, int)
-        )
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Clan) and self.symbols == other.symbols
@@ -260,7 +251,9 @@ def inclusion_leq(a: Clan, b: Clan) -> bool:
 
     a <= b iff a's sign statistics dominate b's at every position and a's
     pair statistics are dominated by b's at every i < j.  This pairwise
-    test is the reference for the bitmask engine in ``poset``.
+    test is the named oracle of the bitmask engine in ``poset``: no library
+    path calls it, but the tests compare the engine with it and the
+    benchmark's tracer wraps it.
     """
     if (a.p, a.q) != (b.p, b.q):
         raise ValueError(
@@ -321,16 +314,6 @@ def dense_clan(p: int, q: int) -> Clan:
     return gamma_w(Permutation.longest(q), p)
 
 
-def sigma_clan(p: int, q: int) -> Clan:
-    """All pluses then all minuses; a closed orbit."""
-    return Clan([PLUS] * p + [MINUS] * q)
-
-
-def tau_clan(p: int, q: int) -> Clan:
-    """All minuses then all pluses; a closed orbit."""
-    return Clan([MINUS] * q + [PLUS] * p)
-
-
 def interval_clans(p: int, q: int) -> tuple[Clan, ...]:
     """The q! clans gamma_w, in the text order of ``render_clan``.
 
@@ -355,7 +338,8 @@ def as_interval_permutation(clan: Clan) -> Permutation | None:
 
 def gamma_w_pair_statistic(w: Permutation, p: int, i: int, j: int) -> int:
     """Closed form |{k <= i : w^{-1}(k) > j - p}| for the pair statistic of
-    gamma_w in the window i in [q], j in {p+1, ..., p+q}."""
+    gamma_w in the window i in [q], j in {p+1, ..., p+q}.  An oracle: the
+    tests compare ``statistics(gamma_w(w, p))`` with it."""
     q = w.degree
     n = p + q
     if not 1 <= i <= q:

@@ -49,7 +49,7 @@ from .clans import (
 from .hessenberg import area, classify_irreducibles, hess_dimension, hess_orbit_report, m_of_w
 from .perms import Permutation, parse_permutation, render_permutation, render_word
 from .poset import InclusionPoset, inclusion_poset
-from .schubert import brion_class, monk_product
+from .schubert import brion_class, divisor_product_scan, monk_product
 from .weak_order import build_graph, factorization_bijection, graph_to_dot, graph_to_json, w_set
 
 
@@ -65,8 +65,8 @@ def _perm_sort_key(w: Permutation):
     return (w.length(), w.key)
 
 
-def _compact(w: Permutation, n: int | None = None) -> str:
-    images = w.embedded(n).images if n is not None else w.images
+def _compact(w: Permutation, n: int) -> str:
+    images = w.embedded(n).images
     if max(images, default=1) <= 9:
         return "".join(str(v) for v in images)
     return render_permutation(w, n)
@@ -270,28 +270,12 @@ def _cmd_scan(args) -> tuple[int, list[str]]:
     max_m = args.max_m if args.max_m is not None else n - 1
     if not 1 <= max_m <= n - 1:
         raise ValueError(f"--max-m must lie in 1..{n - 1} at (p,q)=({p},{q}), got {max_m}")
-    cache: dict = {}
-    lines = []
-    products = 0
-    violations = 0
-    for clan in enumerate_clans(p, q):
-        expansion = brion_class(clan, cache)
-        for m in range(1, max_m + 1):
-            products += 1
-            product = monk_product(m, expansion, n=n)
-            bad = {w: c for w, c in product.coeffs.items() if c != 1}
-            if bad:
-                violations += 1
-                worst = max(bad.values())
-                lines.append(
-                    f"multiplicity {worst} at clan {render_clan(clan)}, m={m}"
-                )
-    if violations == 0:
-        lines.append(
-            f"no multiplicity >= 2 in {products} divisor products at (p,q)=({p},{q})"
-        )
+    failures, products = divisor_product_scan(enumerate_clans(p, q), max_m)
+    lines = [f"multiplicity {worst} at clan {render_clan(clan)}, m={m}" for clan, m, worst in failures]
+    if failures:
+        lines.append(f"{len(failures)} of {products} products carry multiplicity >= 2")
     else:
-        lines.append(f"{violations} of {products} products carry multiplicity >= 2")
+        lines.append(f"no multiplicity >= 2 in {products} divisor products at (p,q)=({p},{q})")
     return 0, lines
 
 

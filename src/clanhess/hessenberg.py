@@ -101,7 +101,9 @@ def orbit_in_hess(clan: Clan, m) -> bool:
     every pair (i, j) of the clan must satisfy m_i >= j.
 
     This tests one clan; ``InclusionPoset.contained`` answers for every
-    clan of a shape at once and is tested against it.
+    clan of a shape at once.  This is its named oracle: no library path
+    calls it, but the tests compare ``contained`` with it and the
+    benchmark's tracer wraps it.
 
     >>> from .clans import parse_clan
     >>> orbit_in_hess(parse_clan("+1+-2+21"), (1, 8, 8, 8, 8, 8, 8, 8))

@@ -67,11 +67,7 @@ class Permutation:
         _setattr(self, "images", images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..n: {images!r}")
-        # trim_fixed_points inline: this runs for every Permutation built
-        end = len(images)
-        while end and images[end - 1] == end:
-            end -= 1
-        _setattr(self, "key", images[:end])
+        _setattr(self, "key", trim_fixed_points(images))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"Permutation is immutable: cannot assign {name!r}")
@@ -233,17 +229,14 @@ class Permutation:
         return tuple(word)
 
     def all_reduced_words(self):
-        """Yield every reduced word of w, in lexicographic order."""
+        """Yield every reduced word of w, in lexicographic order.  An oracle:
+        the tests check ``reduced_word`` and the Schubert polynomials with it."""
         if not self.key:
             yield ()
             return
         for i in self.left_descents():
             for rest in (Permutation.simple(i) * self).all_reduced_words():
                 yield (i,) + rest
-
-    def support(self) -> frozenset[int]:
-        """Letters appearing in any (equivalently, every) reduced word."""
-        return frozenset(self.reduced_word())
 
 
 def _from_key(key: tuple[int, ...]) -> Permutation:

@@ -27,6 +27,7 @@ __all__ = [
     "monk_product",
     "product_oracle",
     "is_multiplicity_free",
+    "divisor_product_scan",
 ]
 
 
@@ -376,3 +377,20 @@ def is_multiplicity_free(expansion: SchubertExpansion) -> bool:
     """True when every Schubert coefficient equals one."""
     return all(coeff == 1 for coeff in expansion.coeffs.values())
 
+
+def divisor_product_scan(clans: tuple[Clan, ...], max_m: int) -> tuple[list[tuple[Clan, int, int]], int]:
+    """Multiply the class of each clan by S_{s_m} in H^*(Fl_n), n = p + q,
+    for 1 <= m <= max_m, and decide each product with ``is_multiplicity_free``.
+
+    Returns the failing products as (clan, m, largest coefficient), in scan
+    order, and the number of products.  One ``w_set`` memo serves the call.
+    """
+    cache: dict = {}
+    failures = []
+    for clan in clans:
+        expansion = brion_class(clan, cache)
+        for m in range(1, max_m + 1):
+            product = monk_product(m, expansion, n=clan.n)
+            if not is_multiplicity_free(product):
+                failures.append((clan, m, max(product.coeffs.values())))
+    return failures, len(clans) * max_m

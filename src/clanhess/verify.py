@@ -25,8 +25,9 @@ single :class:`CheckResult`:
    two-sided weak order cover-for-cover, and the order is strictly finer
    than Bruhat order on a frozen instance.
 7. ``monk_checks``             -- every Monk product of a divisor class
-   with an orbit-closure class is a 0/1 combination, and the stable Monk
-   rule agrees with honest polynomial multiplication on all of S4.
+   with an interval-clan class is a 0/1 combination (the scan behind
+   ``scan multfree``), and the stable Monk rule agrees with honest
+   polynomial multiplication on all of S4.
 8. ``structural_checks``       -- cover relations refine inclusion order,
    inclusion is a partial order (``p + q <= 7``) graded by orbit dimension
    (every Hasse cover is a unit step, ``p + q <= 8``; a failure is named in
@@ -51,6 +52,7 @@ from .clans import (
     clan_count,
     enumerate_clans,
     gamma_w,
+    interval_clans,
     orbit_dimension,
     parse_clan,
     render_clan,
@@ -80,6 +82,7 @@ from .schubert import (
     IntPolynomial,
     SchubertExpansion,
     brion_class,
+    divisor_product_scan,
     expand_in_schubert_basis,
     is_multiplicity_free,
     monk_product,
@@ -445,20 +448,16 @@ def two_sided_order_checks() -> CheckResult:
 
 def monk_checks() -> CheckResult:
     """Criterion 7: divisor times orbit-closure class is multiplicity-free in
-    cohomology; the stable rule equals polynomial multiplication on S4."""
+    cohomology, by the ``divisor_product_scan`` that ``scan multfree`` runs;
+    the stable rule equals polynomial multiplication on S4."""
     t0 = time.perf_counter()
     problems: list[str] = []
     products = 0
     for p, q in _DESK_SHAPES:
-        n = p + q
-        cache: dict = {}
-        for w in symmetric_group(q):
-            cls = brion_class(gamma_w(w, p), cache)
-            for m in range(1, n):
-                products += 1
-                got = monk_product(m, cls, n=n)
-                if not is_multiplicity_free(got):
-                    problems.append(f"({p},{q}) w={w.key} m={m}: coefficients not all 1")
+        failures, count = divisor_product_scan(interval_clans(p, q), p + q - 1)
+        products += count
+        for clan, m, _ in failures:
+            problems.append(f"({p},{q}) w={as_interval_permutation(clan).key} m={m}: coefficients not all 1")
     oracle_products = 0
     for u in symmetric_group(4):
         single = SchubertExpansion({u: 1})

@@ -197,11 +197,7 @@ def w_set(clan: Clan, _cache: dict | None = None) -> frozenset[Permutation]:
     if shape is None:
         # the dense clan's symbols; one bytes object per distinct element,
         # which all the memo's sets share; each returned element's Permutation
-        shape = (
-            dense_clan(clan.p, clan.q).symbols,
-            {},
-            {identity: Permutation.identity(1)},
-        )
+        shape = (dense_clan(clan.p, clan.q).symbols, {}, {})
         cache[shape_key] = shape
     dense, distinct, table = shape
 

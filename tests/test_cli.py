@@ -5,12 +5,12 @@ import re
 
 import pytest
 
-from clanhess import verify
+from clanhess import schubert, verify
 from clanhess.cli import main
-from clanhess.clans import clan_from_json, interval_clans, parse_clan
+from clanhess.clans import clan_from_json, enumerate_clans, interval_clans, parse_clan, render_clan
 from clanhess.perms import parse_permutation
 from clanhess.poset import InclusionPoset
-from clanhess.schubert import SchubertExpansion
+from clanhess.schubert import SchubertExpansion, brion_class
 from test_poset import _inclusion_hasse
 
 
@@ -214,6 +214,42 @@ def test_scan_multfree_rejects_max_m_outside_range(capsys):
     status, lines = run(capsys, "scan", "multfree", "--p", "3", "--q", "2", "--max-m", "4")
     assert status == 0
     assert lines == ["no multiplicity >= 2 in 220 divisor products at (p,q)=(3,2)"]
+
+
+def _double_one_coefficient(monkeypatch):
+    """Make every nonzero divisor product carry one coefficient 2; returns
+    the unpatched ``monk_product``."""
+    real = schubert.monk_product
+
+    def doubled(m, expansion, n=None):
+        coeffs = dict(real(m, expansion, n).coeffs)
+        if coeffs:
+            coeffs[min(coeffs, key=lambda w: w.key)] *= 2
+        return SchubertExpansion(coeffs)
+
+    monkeypatch.setattr(schubert, "monk_product", doubled)
+    return real
+
+
+def test_scan_multfree_reports_each_failing_product(capsys, monkeypatch):
+    real = _double_one_coefficient(monkeypatch)
+    status, lines = run(capsys, "scan", "multfree", "--p", "2", "--q", "1")
+    assert status == 0
+    failing = [
+        f"multiplicity 2 at clan {render_clan(c)}, m={m}"
+        for c in enumerate_clans(2, 1)
+        for m in (1, 2)
+        if real(m, brion_class(c), 3).coeffs
+    ]
+    assert failing and lines == [*failing, f"{len(failing)} of 12 products carry multiplicity >= 2"]
+
+
+def test_verify_monk_fails_on_a_multiplicity(capsys, monkeypatch):
+    _double_one_coefficient(monkeypatch)
+    status, lines = run(capsys, "verify", "monk")
+    assert status == 2
+    assert len(lines) == 1 and lines[0].startswith("FAIL criterion 7 (monk-products): (1,1) w=")
+    assert re.search(r"\(\d,\d\) w=\(\d*(, \d)*\) m=\d: coefficients not all 1", lines[0])
 
 
 def test_verify_subset_passes(capsys):

@@ -8,7 +8,7 @@ the same data.
 
 import pickle
 
-from clanhess.clans import Clan, enumerate_clans
+from clanhess.clans import Clan, dense_clan, enumerate_clans
 from clanhess.perms import Permutation
 from clanhess.schubert import brion_class, monk_product
 from clanhess.weak_order import w_set
@@ -18,11 +18,9 @@ SHAPES = [(p, n - p) for n in range(2, 8) for p in range(n - 1, 0, -1) if p >= n
 
 def assert_matches_validated_build(w) -> None:
     """w is trimmed and equals Permutation(w.images) and its pickle round
-    trip in every field, in ``==``, ``hash`` and ``repr``.  The one
-    untrimmed element allowed is the identity of S_1, which ``w_set``
-    builds through the constructor for the dense clan."""
+    trip in every field, in ``==``, ``hash`` and ``repr``."""
     assert type(w) is Permutation
-    assert w.images == w.key or w.images == (1,)
+    assert w.images == w.key
     for twin in (Permutation(w.images), pickle.loads(pickle.dumps(w))):
         assert (w.images, w.key) == (twin.images, twin.key)
         assert w == twin and hash(w) == hash(twin) and repr(w) == repr(twin)
@@ -48,3 +46,16 @@ def test_w_set_elements_and_monk_terms_match_validated_builds():
             for m in range(1, n):
                 for w in monk_product(m, expansion, n).coeffs:
                     assert_matches_validated_build(w)
+
+
+def test_w_set_elements_and_class_terms_are_trimmed():
+    # the dense clan's identity too: its class takes the normal path
+    for p, q in SHAPES:
+        if p + q > 6:
+            continue
+        memo: dict = {}
+        for c in enumerate_clans(p, q):
+            assert all(w.images == w.key for w in w_set(c, memo))
+            assert all(w.images == w.key for w in brion_class(c, memo).coeffs)
+        assert w_set(dense_clan(p, q), memo) == {Permutation.identity(1)}
+        assert w_set(dense_clan(p, q)) == {Permutation.identity(1)}

@@ -162,15 +162,6 @@ def test_all_reduced_words_of_longest_s3():
     assert words == {(1, 2, 1), (2, 1, 2)}
 
 
-def test_support():
-    assert Permutation.from_word((2, 1)).support() == frozenset({1, 2})
-    assert Permutation.identity(5).support() == frozenset()
-    # support is reduced-word independent
-    for w in symmetric_group(4):
-        supports = {frozenset(word) for word in w.all_reduced_words()}
-        assert len(supports) <= 1 or supports == {w.support()}
-
-
 def test_avoids_catalan_counts():
     # oracle: #{w in S_n avoiding any single degree-3 pattern} = Catalan(n)
     for pattern in (Permutation((2, 3, 1)), Permutation((3, 1, 2))):

@@ -5,12 +5,14 @@ import random
 
 import pytest
 
+from clanhess import schubert
 from clanhess.clans import dense_clan, enumerate_clans, parse_clan
 from clanhess.perms import Permutation, parse_permutation, symmetric_group
 from clanhess.schubert import (
     IntPolynomial,
     SchubertExpansion,
     brion_class,
+    divisor_product_scan,
     expand_in_schubert_basis,
     is_multiplicity_free,
     monk_product,
@@ -263,3 +265,21 @@ def test_monk_stable_products_multiplicity_free_on_single_terms():
     for u in symmetric_group(3):
         for m in range(1, 4):
             assert is_multiplicity_free(monk_product(m, SchubertExpansion({u: 1})))
+
+
+def test_divisor_product_scan_reports_the_largest_coefficient_in_scan_order(monkeypatch):
+    # a product with a coefficient 3 fails with 3 as its largest coefficient
+    clans = enumerate_clans(3, 2)
+    real = schubert.monk_product
+
+    def tripled(m, expansion, n=None):
+        coeffs = dict(real(m, expansion, n).coeffs)
+        if m == 2 and coeffs:
+            coeffs[min(coeffs, key=lambda w: w.key)] = 3
+        return SchubertExpansion(coeffs)
+
+    monkeypatch.setattr(schubert, "monk_product", tripled)
+    failures, products = divisor_product_scan(clans, 3)
+    assert products == 165
+    expected = [c for c in clans if real(2, brion_class(c), 5).coeffs]
+    assert failures == [(c, 2, 3) for c in expected] and expected

@@ -91,7 +91,7 @@ def covers_oracle(clan):
     for (i, j) in clan.arcs:
         partner[i] = j
         partner[j] = i
-    charge = dict(clan.charges)
+    charge = {pos: c for pos, c in enumerate(clan.symbols, 1) if not isinstance(c, int)}
     by_target = {}
     for i in range(1, clan.n):
         hit = _move_at(partner, charge, i)
@@ -126,7 +126,8 @@ def w_set_oracle(clan, cache):
     covers = covers_oracle(clan)
     if not covers:
         assert clan == dense_clan(clan.p, clan.q)
-        result = frozenset({Permutation.identity(1)})
+        # the identity in trimmed one-line notation, as w_set builds it
+        result = frozenset({Permutation(())})
     else:
         acc = set()
         for cov in covers:
