@@ -113,6 +113,14 @@ class Clan:
         return f"Clan({render_clan(self)!r})"
 
 
+def _from_symbols(symbols: tuple, p: int, q: int) -> Clan:
+    """``Clan(symbols)`` without the validating constructor, for a symbol
+    tuple the caller knows to be canonical with signature (p, q)."""
+    clan = object.__new__(Clan)
+    clan.symbols, clan.p, clan.q = symbols, p, q
+    return clan
+
+
 class ClanStatistics(NamedTuple):
     """The three families of orbit invariants attached to a clan.
 
@@ -187,9 +195,7 @@ def enumerate_clans(p: int, q: int) -> tuple[Clan, ...]:
     def walk(word: tuple, pluses: int, minuses: int, opened: tuple[int, ...], labels: int) -> None:
         if len(word) == n:
             # word is canonical with signature (p, q): no validation needed
-            leaf = object.__new__(Clan)
-            leaf.symbols, leaf.p, leaf.q = word, p, q
-            found.append(leaf)
+            found.append(_from_symbols(word, p, q))
             return
         if pluses:
             walk(word + (PLUS,), pluses - 1, minuses, opened, labels)

@@ -74,6 +74,7 @@ from .perms import (
     Permutation,
     avoids,
     bruhat_leq,
+    render_permutation,
     symmetric_group,
     weak_order_leq,
 )
@@ -406,9 +407,9 @@ def wset_checks() -> CheckResult:
             ws = w_set(gamma_w(w, p), cache)
             bijection = factorization_bijection(w, p)
             if ws != set(bijection.values()):
-                problems.append(f"({p},{q}) w={w.key}: W-set != bijection image")
+                problems.append(f"({p},{q}) w={render_permutation(w, q)}: W-set != bijection image")
             if len(ws) != len(bijection):
-                problems.append(f"({p},{q}) w={w.key}: |W| = {len(ws)} != {len(bijection)} factorizations")
+                problems.append(f"({p},{q}) w={render_permutation(w, q)}: |W| = {len(ws)} != {len(bijection)} factorizations")
     detail = f"{checked} (w, p) pairs: recursive W-set = bijection image, cardinalities match"
     return _finish("w-set-bijection", problems, detail, t0)
 
@@ -457,7 +458,8 @@ def monk_checks() -> CheckResult:
         failures, count = divisor_product_scan(interval_clans(p, q), p + q - 1)
         products += count
         for clan, m, _ in failures:
-            problems.append(f"({p},{q}) w={as_interval_permutation(clan).key} m={m}: coefficients not all 1")
+            w = render_permutation(as_interval_permutation(clan), q)
+            problems.append(f"({p},{q}) w={w} m={m}: coefficients not all 1")
     oracle_products = 0
     for u in symmetric_group(4):
         single = SchubertExpansion({u: 1})

@@ -22,11 +22,12 @@ the orbit-closure cohomology class.
 from __future__ import annotations
 
 import json
-from itertools import repeat
+import re
 from typing import NamedTuple
 
 from .clans import (
     Clan,
+    _from_symbols,
     dense_clan,
     enumerate_clans,
     gamma_w,
@@ -125,10 +126,11 @@ def covers_from(clan: Clan) -> tuple[LabeledCover, ...]:
     by_target: dict[tuple, list[tuple[int, str]]] = {}
     for target, i, move in _moves(clan.symbols):
         by_target.setdefault(target, []).append((i, move))
+    # each target is canonical with the clan's signature: no validation needed
     covers = [
         LabeledCover(
             clan,
-            Clan(target),
+            _from_symbols(target, clan.p, clan.q),
             tuple(i for i, _ in moves),
             tuple(mv for _, mv in moves),
         )
@@ -173,15 +175,18 @@ def w_set(clan: Clan, _cache: dict | None = None) -> frozenset[Permutation]:
     """All products s_{i1} * ... * s_{il} over label sequences of paths from
     the clan up to the dense clan.
 
-    The recursion runs on clan symbol tuples and keeps each W-set element
-    as the bytes one-line notation of S_{p+q}, so ``s_i * x`` is
-    ``x.translate(_SWAP[i])`` and a whole set is mapped without a Python
-    frame per element.  Each distinct element is built as a trimmed
-    ``Permutation`` once per shape, and every returned set shares those
-    objects.  ``_cache`` is an opaque memo that calls on clans of any shape
-    may share; it holds the bytes sets by symbol tuple and, per shape, the
-    dense clan and the table from elements to their ``Permutation``s, never
-    the returned frozensets.  p + q above ``W_SET_MAX_N`` is a ValueError.
+    The recursion runs on clan symbol tuples and keeps each W-set as one
+    ``bytes`` blob: its distinct elements in the n-byte one-line notation
+    of S_n, n = p + q, concatenated.  So ``s_i * W`` is one
+    ``blob.translate(_SWAP[i])`` for a whole set, and the union over a
+    clan's covers is a set of the words split back out of the translated
+    blobs, joined into a new blob.  Each distinct element is built as a
+    trimmed ``Permutation`` once per shape, and every returned set shares
+    those objects.  ``_cache`` is an opaque memo that calls on clans of any
+    shape may share; it holds the blobs by symbol tuple and, per shape, the
+    dense clan, the splitter and the table from words to their
+    ``Permutation``s, never the returned frozensets.  p + q above
+    ``W_SET_MAX_N`` is a ValueError.
 
     >>> sorted(w.reduced_word() for w in w_set(Clan("+-")))
     [(1,)]
@@ -193,35 +198,36 @@ def w_set(clan: Clan, _cache: dict | None = None) -> frozenset[Permutation]:
     # never a symbol tuple, whose entries are ints and signs
     shape_key = ("shape", clan.p, clan.q)
     shape = cache.get(shape_key)
-    identity = bytes(range(1, n + 1))
     if shape is None:
-        # the dense clan's symbols; one bytes object per distinct element,
-        # which all the memo's sets share; each returned element's Permutation
-        shape = (dense_clan(clan.p, clan.q).symbols, {}, {})
+        # the dense clan's symbols; a splitter from a blob to its words
+        # (re.S, or "." would skip the byte 10 and drop every word holding
+        # it at n >= 10); each returned element's Permutation
+        split = re.compile(b".{%d}" % n, re.S).findall
+        shape = (dense_clan(clan.p, clan.q).symbols, split, {})
         cache[shape_key] = shape
-    dense, distinct, table = shape
+    dense, split, table = shape
 
-    def rec(symbols: tuple) -> frozenset[bytes]:
+    def rec(symbols: tuple) -> bytes:
         got = cache.get(symbols)
         if got is not None:
             return got
         acc: set[bytes] = set()
         for target, i, _ in _moves(symbols):
-            acc.update(map(bytes.translate, rec(target), repeat(_SWAP[i])))
+            acc.update(split(rec(target).translate(_SWAP[i])))
         if acc:
-            result = frozenset(map(distinct.setdefault, acc, acc))
+            result = b"".join(acc)
         elif symbols == dense:
-            result = frozenset({identity})
+            result = bytes(range(1, n + 1))
         else:
             raise RuntimeError(f"non-dense clan with no covers: {Clan(symbols)}")
         cache[symbols] = result
         return result
 
-    elements = rec(clan.symbols)
-    for x in elements.difference(table):
+    words = split(rec(clan.symbols))
+    for x in set(words).difference(table):
         # x is a translate of the identity, so it needs no validation
         table[x] = _from_key(trim_fixed_points(x))
-    return frozenset(map(table.__getitem__, elements))
+    return frozenset(map(table.__getitem__, words))
 
 
 def factorization_bijection(w: Permutation, p: int) -> dict[tuple[Permutation, Permutation], Permutation]:

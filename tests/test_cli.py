@@ -7,7 +7,14 @@ import pytest
 
 from clanhess import schubert, verify
 from clanhess.cli import main
-from clanhess.clans import clan_from_json, enumerate_clans, interval_clans, parse_clan, render_clan
+from clanhess.clans import (
+    as_interval_permutation,
+    clan_from_json,
+    enumerate_clans,
+    interval_clans,
+    parse_clan,
+    render_clan,
+)
 from clanhess.perms import parse_permutation
 from clanhess.poset import InclusionPoset
 from clanhess.schubert import SchubertExpansion, brion_class
@@ -249,7 +256,36 @@ def test_verify_monk_fails_on_a_multiplicity(capsys, monkeypatch):
     status, lines = run(capsys, "verify", "monk")
     assert status == 2
     assert len(lines) == 1 and lines[0].startswith("FAIL criterion 7 (monk-products): (1,1) w=")
-    assert re.search(r"\(\d,\d\) w=\(\d*(, \d)*\) m=\d: coefficients not all 1", lines[0])
+    assert re.search(r"\(\d,\d\) w=\[\d(,\d)*\] m=\d: coefficients not all 1", lines[0])
+
+
+def test_verify_names_each_failing_permutation_in_full(capsys, monkeypatch):
+    # (p, images) of the failures to fake: the identity of S_1 and 213
+    named = {(1, (1,)), (3, (2, 1, 3))}
+
+    def scan(clans, max_m):
+        _, count = real_scan(clans, max_m)
+        return [(c, 1, 2) for c in clans if (c.p, as_interval_permutation(c).images) in named], count
+
+    def bijection(w, p):
+        pairs = real_bijection(w, p)
+        # one factorization short: the image is smaller and so is the count
+        return dict(list(pairs.items())[1:]) if (p, w.images) in named else pairs
+
+    real_scan, real_bijection = verify.divisor_product_scan, verify.factorization_bijection
+    monkeypatch.setattr(verify, "divisor_product_scan", scan)
+    monkeypatch.setattr(verify, "factorization_bijection", bijection)
+    failed = {}
+    for target in ("wsets", "monk"):
+        status, lines = run(capsys, "verify", target)
+        assert status == 2 and len(lines) == 1
+        failed[target] = re.sub(r" \[\d+\.\d+s\]$", "", lines[0])
+    assert failed == {
+        "wsets": "FAIL criterion 5 (w-set-bijection): (1,1) w=[1]: W-set != bijection image; "
+        "(1,1) w=[1]: |W| = 1 != 0 factorizations; (3,3) w=[2,1,3]: W-set != bijection image; +1 more",
+        "monk": "FAIL criterion 7 (monk-products): (1,1) w=[1] m=1: coefficients not all 1; "
+        "(3,3) w=[2,1,3] m=1: coefficients not all 1",
+    }
 
 
 def test_verify_subset_passes(capsys):

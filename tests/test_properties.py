@@ -37,8 +37,9 @@ from clanhess.flag_oracle import (  # noqa: E402
 from clanhess.perms import Permutation  # noqa: E402
 from clanhess.poset import InclusionPoset  # noqa: E402
 from clanhess.schubert import SchubertExpansion, monk_product, product_oracle  # noqa: E402
-from clanhess.weak_order import _SWAP, covers_from  # noqa: E402
+from clanhess.weak_order import _SWAP, covers_from, w_set  # noqa: E402
 from test_fast_path import assert_matches_validated_build  # noqa: E402
+from test_weak_order import w_set_oracle  # noqa: E402
 
 FIXED = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -255,6 +256,16 @@ def test_covers_step_by_one_and_refine_inclusion(clan):
         assert orbit_dimension(cov.target) == orbit_dimension(clan) + 1
         assert clan_length(cov.target) == clan_length(clan) + 1
         assert inclusion_leq(clan, cov.target)
+
+
+@FIXED
+@given(st.lists(random_clans(7), min_size=1, max_size=12))
+def test_one_memo_serves_clans_of_any_shape_in_any_order(clans):
+    memo, oracle_memo = {}, {}
+    for clan in clans:
+        got, expected = w_set(clan, memo), w_set_oracle(clan, oracle_memo)
+        assert got == expected
+        assert sorted(x.images for x in got) == sorted(x.images for x in expected)
 
 
 @st.composite

@@ -142,7 +142,10 @@ def w_set_oracle(clan, cache):
 @pytest.mark.parametrize("p,q", SHAPES_UP_TO[8])
 def test_covers_match_the_oracle(p, q):
     for clan in enumerate_clans(p, q):
-        assert covers_from(clan) == covers_oracle(clan)
+        covers = covers_from(clan)
+        assert covers == covers_oracle(clan)
+        # Clan equality reads only the symbols, so check the signature too
+        assert all((cov.target.p, cov.target.q) == (p, q) for cov in covers)
 
 
 @pytest.mark.parametrize("p,q", SHAPES_UP_TO[7])
@@ -291,7 +294,11 @@ def test_w_set_frozen_values():
     }
 
 
-@pytest.mark.parametrize("q,p", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4)])
+# n = 10 is the first size whose words hold the byte 10 (b"\n"), which the
+# memo's splitter must not skip
+@pytest.mark.parametrize(
+    "q,p", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 6), (5, 5)]
+)
 def test_w_set_matches_factorization_description(q, p):
     cache = {}
     for w in symmetric_group(q):
