@@ -333,7 +333,7 @@ def dimension_checks() -> CheckResult:
                 "orbit_dimension": orbit_dimension(gamma_w(w, p)),
             }
             if len(set(values.values())) != 1:
-                problems.append(f"({p},{q}) w={w.key}: {values}")
+                problems.append(f"({p},{q}) w={render_permutation(w, q)}: {values}")
     detail = f"{checked} (w, p) pairs: length formula = area = orbit dimension exactly"
     return _finish("dimension-formulas", problems, detail, t0)
 
@@ -466,7 +466,7 @@ def monk_checks() -> CheckResult:
         for m in range(1, 5):
             oracle_products += 1
             if monk_product(m, single) != product_oracle(m, single):
-                problems.append(f"u={u.key} m={m}: stable rule != polynomial oracle")
+                problems.append(f"u={render_permutation(u, 4)} m={m}: stable rule != polynomial oracle")
     detail = (
         f"{products} divisor products multiplicity-free; stable rule = "
         f"polynomial oracle on {oracle_products} S4 products"
@@ -557,7 +557,7 @@ def structural_checks() -> CheckResult:
     for w in symmetric_group(4):
         expansions += 1
         if expand_in_schubert_basis(schubert_polynomial(w)).coeffs != {w.trimmed(): 1}:
-            problems.append(f"expand(schubert({w.key})) != {{w: 1}}")
+            problems.append(f"expand(schubert({render_permutation(w, 4)})) != {{w: 1}}")
 
     detail = (
         f"{covers_checked} covers refine inclusion with unit dimension step; "

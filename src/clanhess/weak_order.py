@@ -121,23 +121,23 @@ def _moves(symbols: tuple):
         yield tuple(out), b, move
 
 
-def covers_from(clan: Clan) -> tuple[LabeledCover, ...]:
-    """All weak-order covers of a clan, merged by target."""
+def _covers(clan: Clan, target_of) -> list[LabeledCover]:
+    """The covers of a clan merged by target, sorted by target name;
+    ``target_of`` maps each target's symbol tuple to its ``Clan``."""
     by_target: dict[tuple, list[tuple[int, str]]] = {}
     for target, i, move in _moves(clan.symbols):
         by_target.setdefault(target, []).append((i, move))
-    # each target is canonical with the clan's signature: no validation needed
-    covers = [
-        LabeledCover(
-            clan,
-            _from_symbols(target, clan.p, clan.q),
-            tuple(i for i, _ in moves),
-            tuple(mv for _, mv in moves),
-        )
-        for target, moves in by_target.items()
-    ]
+    # zip(*moves) splits the (i, move) pairs into the labels and the move types
+    covers = [LabeledCover(clan, target_of(target), *zip(*moves)) for target, moves in by_target.items()]
     covers.sort(key=lambda cov: render_clan(cov.target))
-    return tuple(covers)
+    return covers
+
+
+def covers_from(clan: Clan) -> tuple[LabeledCover, ...]:
+    """All weak-order covers of a clan, merged by target."""
+    p, q = clan.p, clan.q
+    # each target is canonical with the clan's signature: no validation needed
+    return tuple(_covers(clan, lambda target: _from_symbols(target, p, q)))
 
 
 class WeakOrderGraph(NamedTuple):
@@ -151,17 +151,18 @@ class WeakOrderGraph(NamedTuple):
 
 
 def build_graph(p: int, q: int, interval_only: bool = False) -> WeakOrderGraph:
-    """Cover digraph on all (p,q)-clans, or on the q! interval clans only."""
+    """Cover digraph on all (p,q)-clans, or on the q! interval clans only.
+
+    Every cover's source and target are the node objects themselves."""
     nodes = interval_clans(p, q) if interval_only else enumerate_clans(p, q)
-    node_set = set(nodes)
+    by_symbols = {clan.symbols: clan for clan in nodes}
     covers: list[LabeledCover] = []
     for clan in nodes:
-        for cov in covers_from(clan):
-            if cov.target not in node_set:
-                raise RuntimeError(
-                    f"cover leaves the node set: {clan} -> {cov.target}"
-                )
-            covers.append(cov)
+        try:
+            covers += _covers(clan, by_symbols.__getitem__)
+        except KeyError as exc:
+            target = _from_symbols(exc.args[0], p, q)
+            raise RuntimeError(f"cover leaves the node set: {clan} -> {target}") from None
     return WeakOrderGraph(p, q, interval_only, nodes, tuple(covers))
 
 
@@ -267,34 +268,70 @@ def interval_iso_check(p: int, q: int) -> bool:
     return True
 
 
+def _quoted_names(graph: WeakOrderGraph) -> dict[tuple, str]:
+    """``json.dumps(render_clan(node))`` by symbol tuple, once per node.
+
+    A clan name holds only digits, signs and spaces, so the JSON string is
+    also the name DOT quotes."""
+    return {node.symbols: json.dumps(render_clan(node)) for node in graph.nodes}
+
+
 def graph_to_dot(graph: WeakOrderGraph) -> str:
+    names = _quoted_names(graph)
     lines = ["digraph weak_order {"]
     for node in graph.nodes:
-        lines.append(f'  "{render_clan(node)}";')
+        lines.append(f"  {names[node.symbols]};")
     for cov in graph.covers:
         label = ",".join(f"s{i}" for i in cov.labels)
-        lines.append(
-            f'  "{render_clan(cov.source)}" -> "{render_clan(cov.target)}" [label="{label}"];'
-        )
+        lines.append(f'  {names[cov.source.symbols]} -> {names[cov.target.symbols]} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines)
 
 
-def graph_to_json(graph: WeakOrderGraph) -> str:
-    data = {
-        "p": graph.p,
-        "q": graph.q,
-        "interval": graph.interval_only,
-        "nodes": [render_clan(c) for c in graph.nodes],
-        "covers": [
-            {
-                "source": render_clan(cov.source),
-                "target": render_clan(cov.target),
-                "labels": list(cov.labels),
-                "move_types": list(cov.move_types),
-            }
-            for cov in graph.covers
-        ],
-    }
-    return json.dumps(data, indent=2)
+def _json_array(items: list[str], depth: int, head: str = "", tail: str = "") -> str:
+    """head, a JSON array of the encoded items laid out as ``indent=2``
+    lays it out at the given nesting depth, and tail, in one join.  The
+    first and last items take head and tail in place."""
+    if not items:
+        return head + "[]" + tail
+    pad = "\n" + "  " * depth
+    items[0] = head + "[" + pad + "  " + items[0]
+    items[-1] += pad + "]" + tail
+    return ("," + pad + "  ").join(items)
 
+
+def graph_to_json(graph: WeakOrderGraph) -> str:
+    """The graph as JSON text, exactly ``json.dumps(data, indent=2)`` of
+
+        data = {"p": p, "q": q, "interval": interval_only,
+                "nodes": [render_clan(node), ...],
+                "covers": [{"source": render_clan(source),
+                            "target": render_clan(target),
+                            "labels": [i, ...],
+                            "move_types": [move_type, ...]}, ...]}
+
+    with nodes and covers in graph order, and every cover endpoint a node.
+    The text is written from pieces, not by ``json.dumps``, whose
+    ``indent`` forces the pure-Python encoder and a chunk string per token:
+    each node name is encoded once, and so is each distinct pair of labels
+    and move types (72 at (5,5)); each cover is one fixed-layout block; one
+    join makes the text.
+    """
+    names = _quoted_names(graph)
+    # the end of a cover's block, by (labels, move_types)
+    ends: dict[tuple, str] = {}
+    blocks = []
+    for source, target, labels, move_types in graph.covers:
+        end = ends.get((labels, move_types))
+        if end is None:
+            end = ends[labels, move_types] = (
+                f',\n      "labels": {_json_array(list(map(json.dumps, labels)), 3)},'
+                f'\n      "move_types": {_json_array(list(map(json.dumps, move_types)), 3)}\n    }}'
+            )
+        blocks.append(f'{{\n      "source": {names[source.symbols]},\n      "target": {names[target.symbols]}{end}')
+    head = (
+        f'{{\n  "p": {json.dumps(graph.p)},\n  "q": {json.dumps(graph.q)},'
+        f'\n  "interval": {json.dumps(graph.interval_only)},\n  "nodes": '
+    )
+    head = _json_array([names[node.symbols] for node in graph.nodes], 1, head, ',\n  "covers": ')
+    return _json_array(blocks, 1, head, "\n}")

@@ -288,6 +288,32 @@ def test_verify_names_each_failing_permutation_in_full(capsys, monkeypatch):
     }
 
 
+def test_verify_names_failing_permutations_of_criteria_3_7_8_in_full(monkeypatch):
+    # criteria 3 and 8 have no target of their own, so call their checks;
+    # the first failures include the identity and 1243, whose trimmed keys
+    # would read () and (1, 2, 4, 3)
+    real_hess_dimension, real_oracle = verify.hess_dimension, verify.product_oracle
+    monkeypatch.setattr(
+        verify, "hess_dimension", lambda w, p: -1 if (p, len(w.images)) == (3, 3) else real_hess_dimension(w, p)
+    )
+    monkeypatch.setattr(
+        verify, "product_oracle", lambda m, cls: SchubertExpansion({}) if m == 1 else real_oracle(m, cls)
+    )
+    monkeypatch.setattr(verify, "expand_in_schubert_basis", lambda poly: SchubertExpansion({}))
+    results = [check() for check in (verify.dimension_checks, verify.monk_checks, verify.structural_checks)]
+    assert not any(result.passed for result in results)
+    dimension, monk, structural = (result.detail for result in results)
+    assert re.findall(r"w=(\S+):", dimension) == ["[1,2,3]", "[1,3,2]", "[2,1,3]"]
+    assert monk == (
+        "u=[1,2,3,4] m=1: stable rule != polynomial oracle; u=[1,2,4,3] m=1: stable rule != polynomial oracle; "
+        "u=[1,3,2,4] m=1: stable rule != polynomial oracle; +21 more"
+    )
+    assert structural == (
+        "expand(schubert([1,2,3,4])) != {w: 1}; expand(schubert([1,2,4,3])) != {w: 1}; "
+        "expand(schubert([1,3,2,4])) != {w: 1}; +21 more"
+    )
+
+
 def test_verify_subset_passes(capsys):
     status, lines = run(capsys, "verify", "wsets")
     assert status == 0

@@ -25,6 +25,7 @@ from clanhess.perms import Permutation, factorization_pairs, parse_permutation, 
 from clanhess.weak_order import (
     MOVE_TYPES,
     LabeledCover,
+    WeakOrderGraph,
     build_graph,
     covers_from,
     factorization_bijection,
@@ -37,7 +38,7 @@ from clanhess.weak_order import (
 
 SHAPES_UP_TO = {
     top: [(n - q, q) for n in range(2, top + 1) for q in range(1, n // 2 + 1)]
-    for top in (7, 8)
+    for top in (7, 8, 10)
 }
 
 
@@ -407,3 +408,87 @@ def test_graph_exports():
         (c["source"], c["target"], tuple(c["labels"]), tuple(c["move_types"]))
         for c in data["covers"]
     } == {("+-", "11", (1,), ("II",)), ("-+", "11", (1,), ("II",))}
+
+
+def graph_to_json_oracle(graph):
+    """The JSON export by the standard encoder: graph_to_json must give
+    exactly these bytes."""
+    data = {
+        "p": graph.p,
+        "q": graph.q,
+        "interval": graph.interval_only,
+        "nodes": [render_clan(c) for c in graph.nodes],
+        "covers": [
+            {
+                "source": render_clan(cov.source),
+                "target": render_clan(cov.target),
+                "labels": list(cov.labels),
+                "move_types": list(cov.move_types),
+            }
+            for cov in graph.covers
+        ],
+    }
+    return json.dumps(data, indent=2)
+
+
+def graph_to_dot_oracle(graph):
+    """The DOT export, each name rendered at its use."""
+    lines = ["digraph weak_order {"]
+    for node in graph.nodes:
+        lines.append(f'  "{render_clan(node)}";')
+    for cov in graph.covers:
+        label = ",".join(f"s{i}" for i in cov.labels)
+        lines.append(f'  "{render_clan(cov.source)}" -> "{render_clan(cov.target)}" [label="{label}"];')
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def _assert_exports_match_the_oracles(graph):
+    assert graph_to_json(graph) == graph_to_json_oracle(graph)
+    assert graph_to_dot(graph) == graph_to_dot_oracle(graph)
+
+
+@pytest.mark.parametrize("p,q", SHAPES_UP_TO[8])
+def test_exports_match_the_oracles_on_full_graphs(p, q):
+    _assert_exports_match_the_oracles(build_graph(p, q))
+
+
+@pytest.mark.parametrize("p,q", SHAPES_UP_TO[10])
+def test_exports_match_the_oracles_on_interval_graphs(p, q):
+    graph = build_graph(p, q, interval_only=True)
+    _assert_exports_match_the_oracles(graph)
+    if (p, q) == (1, 1):
+        # one interval clan and no cover
+        assert graph_to_json(graph).endswith('\n  "covers": []\n}')
+
+
+def test_exports_match_the_oracles_on_hand_built_graphs():
+    # labels of two digits put a (10,10) name in token form, with spaces
+    clan = gamma_w(Permutation.identity(10), 10)
+    covers = covers_from(clan)
+    assert " " in render_clan(clan) and covers
+    nodes = (clan,) + tuple(cov.target for cov in covers)
+    _assert_exports_match_the_oracles(WeakOrderGraph(10, 10, False, nodes, covers))
+    # no nodes at all
+    empty = WeakOrderGraph(1, 1, True, (), ())
+    _assert_exports_match_the_oracles(empty)
+    assert graph_to_json(empty).endswith('"nodes": [],\n  "covers": []\n}')
+
+
+@pytest.mark.parametrize("interval_only", [False, True])
+def test_covers_share_the_node_objects(interval_only):
+    graph = build_graph(3, 3, interval_only)
+    by_symbols = {node.symbols: node for node in graph.nodes}
+    assert graph.covers
+    for cov in graph.covers:
+        assert cov.source is by_symbols[cov.source.symbols]
+        assert cov.target is by_symbols[cov.target.symbols]
+
+
+def test_cover_leaving_the_node_set_is_an_error(monkeypatch):
+    from clanhess import weak_order
+
+    # every clan gets a cover to ++, which is no (1,1)-clan
+    monkeypatch.setattr(weak_order, "_moves", lambda symbols: iter([(("+", "+"), 1, "II")]))
+    with pytest.raises(RuntimeError, match=r"^cover leaves the node set: \+- -> \+\+$"):
+        weak_order.build_graph(1, 1)
