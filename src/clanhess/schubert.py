@@ -11,11 +11,12 @@ other.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import chain, zip_longest
 
 from .clans import Clan
-from .perms import Permutation, _from_key, render_permutation, trim_fixed_points
+from .perms import Permutation, _from_key, render_permutation
 from .weak_order import w_set
 
 __all__ = [
@@ -220,7 +221,7 @@ def schubert_polynomial(w: Permutation) -> IntPolynomial:
 
 def _is_normal(coeffs: dict) -> bool:
     """True when no coefficient is zero and every key is already trimmed,
-    as in every expansion that brion_class and monk_product build."""
+    as in every expansion that brion_class builds."""
     if 0 in coeffs.values():
         return False
     for w in coeffs:
@@ -248,6 +249,15 @@ class SchubertExpansion:
         else:
             # keys are distinct under Permutation equality, so no two terms merge
             self.coeffs = {w.trimmed(): c for w, c in coeffs.items() if c}
+
+    @classmethod
+    def _of_keys(cls, terms: dict[tuple[int, ...], int]) -> "SchubertExpansion":
+        """The expansion of a dict from trimmed one-line notation of
+        permutations to coefficients, as ``_monk_terms`` returns it: zero
+        coefficients are dropped, and nothing is validated."""
+        expansion = cls.__new__(cls)
+        expansion.coeffs = {_from_key(w): c for w, c in terms.items() if c}
+        return expansion
 
     def items(self) -> list[tuple[Permutation, int]]:
         """Terms sorted by length, then by one-line notation."""
@@ -321,6 +331,55 @@ def brion_class(clan: Clan, _cache: dict | None = None) -> SchubertExpansion:
     return SchubertExpansion(dict.fromkeys(w_set(clan, _cache), 1))
 
 
+def _monk_terms(m: int, terms: dict, n: int | None) -> dict[tuple[int, ...], int]:
+    """S_{s_m} times the combination ``terms`` (trimmed Permutation ->
+    coefficient) by Monk's rule, as a dict from trimmed one-line notation
+    to coefficient; a coefficient is 0 where signed terms cancel.  The
+    caller has checked m and that each term lies in S_n.
+
+    With u padded to ``top`` entries, u * t_{j+1,k+1} (0-indexed j <= m - 1
+    < k < top) is a term when u(j) < u(k) and no entry between them in
+    value sits at a position between them.  So for each j the least entry
+    ``high`` above ``low = u(j)`` at positions j+1..m-1 bounds the entries
+    that can still make terms: j makes none when ``high == low + 1``, and
+    the scan from position m stops at ``low + 1``.  For m > len(u) only
+    u * s_m is a term, so stable mode costs time linear in m.
+    """
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    for u, coeff in terms.items():
+        key = u.key
+        size = len(key)
+        top = n if n is not None else max(size, m) + 1
+        images = key + tuple(range(size + 1, top + 1))
+        # past the end of u, positions size..m-1 hold size+1..m: a j below
+        # m - 1 has high <= size + 1, below every entry from position m on,
+        # so only j = m - 1 can make a term
+        rows = range(m - 1, -1, -1) if m <= size else (m - 1,)
+        seen = [top + 1]  # the entries at positions j+1..m-1 sorted, then top + 1
+        for j in rows:
+            low = images[j]
+            pos = bisect_right(seen, low)
+            high = seen[pos]
+            seen.insert(pos, low)
+            if high == low + 1:
+                continue
+            for k in range(m, top):
+                v = images[k]
+                if low < v < high:
+                    high = v
+                    # past the end of u the term ends at k; within it, its
+                    # last entry stays off its place, since low < v <= size
+                    move = list(images[: k + 1 if k >= size else size])
+                    move[j] = v
+                    move[k] = low
+                    term = tuple(move)
+                    out[term] = get(term, 0) + coeff
+                    if v == low + 1:
+                        break
+    return out
+
+
 def monk_product(m: int, expansion: SchubertExpansion, n: int | None = None) -> SchubertExpansion:
     """Multiply by S_{s_m} using Monk's rule.
 
@@ -335,33 +394,13 @@ def monk_product(m: int, expansion: SchubertExpansion, n: int | None = None) -> 
     """
     if m < 1:
         raise ValueError(f"Monk factor must be S_{{s_m}} with m >= 1: {m}")
-    if n is not None and m > n - 1:
-        raise ValueError(f"s_{m} does not lie in S_{n}")
-    out: dict[tuple[int, ...], int] = {}  # trimmed one-line notation -> coeff
-    for u, coeff in expansion.coeffs.items():
-        if n is not None and len(u.key) > n:
-            raise ValueError(
-                f"term {render_permutation(u)} does not lie in S_{n}"
-            )
-        top = n if n is not None else max(u.degree, m) + 1
-        images = u.key + tuple(range(len(u.key) + 1, top + 1))
-        # 0-indexed positions j <= m - 1 < k; u * t_{j+1,k+1} swaps the two
-        # entries and is a term when u(j) < u(k) with no entry between them
-        # in value at a position between them
-        for j in range(m):
-            low = images[j]
-            high = top + 1  # the least entry above low seen right of j
-            for k in range(j + 1, top):
-                v = images[k]
-                if low < v < high:
-                    high = v
-                    if k >= m:
-                        move = list(images)
-                        move[j], move[k] = v, low
-                        key = trim_fixed_points(move)
-                        out[key] = out.get(key, 0) + coeff
-    # each term swaps two entries of a valid u, so it needs no validation
-    return SchubertExpansion({_from_key(w): c for w, c in out.items()})
+    if n is not None:
+        if m > n - 1:
+            raise ValueError(f"s_{m} does not lie in S_{n}")
+        for u in expansion.coeffs:
+            if len(u.key) > n:
+                raise ValueError(f"term {render_permutation(u)} does not lie in S_{n}")
+    return SchubertExpansion._of_keys(_monk_terms(m, expansion.coeffs, n))
 
 
 def product_oracle(m: int, expansion: SchubertExpansion) -> SchubertExpansion:
@@ -380,17 +419,23 @@ def is_multiplicity_free(expansion: SchubertExpansion) -> bool:
 
 def divisor_product_scan(clans: tuple[Clan, ...], max_m: int) -> tuple[list[tuple[Clan, int, int]], int]:
     """Multiply the class of each clan by S_{s_m} in H^*(Fl_n), n = p + q,
-    for 1 <= m <= max_m, and decide each product with ``is_multiplicity_free``.
+    for 1 <= m <= max_m, and decide whether each product is multiplicity-free.
 
     Returns the failing products as (clan, m, largest coefficient), in scan
-    order, and the number of products.  One ``w_set`` memo serves the call.
+    order, and the number of products.  Each product is read as the
+    coefficients of ``_monk_terms``, with no ``Permutation`` built; one
+    ``w_set`` memo serves the call.  ``max_m`` above n - 1 is the
+    ValueError ``monk_product`` raises.
     """
     cache: dict = {}
     failures = []
     for clan in clans:
-        expansion = brion_class(clan, cache)
+        n = clan.n
+        if max_m > n - 1:
+            raise ValueError(f"s_{n} does not lie in S_{n}")
+        terms = brion_class(clan, cache).coeffs
         for m in range(1, max_m + 1):
-            product = monk_product(m, expansion, n=clan.n)
-            if not is_multiplicity_free(product):
-                failures.append((clan, m, max(product.coeffs.values())))
+            coeffs = set(_monk_terms(m, terms, n).values()) - {0}
+            if not coeffs <= {1}:
+                failures.append((clan, m, max(coeffs)))
     return failures, len(clans) * max_m

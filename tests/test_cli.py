@@ -225,16 +225,16 @@ def test_scan_multfree_rejects_max_m_outside_range(capsys):
 
 def _double_one_coefficient(monkeypatch):
     """Make every nonzero divisor product carry one coefficient 2; returns
-    the unpatched ``monk_product``."""
-    real = schubert.monk_product
+    the unpatched Monk kernel ``_monk_terms``."""
+    real = schubert._monk_terms
 
-    def doubled(m, expansion, n=None):
-        coeffs = dict(real(m, expansion, n).coeffs)
-        if coeffs:
-            coeffs[min(coeffs, key=lambda w: w.key)] *= 2
-        return SchubertExpansion(coeffs)
+    def doubled(m, terms, n):
+        out = real(m, terms, n)
+        if out:
+            out[min(out)] *= 2
+        return out
 
-    monkeypatch.setattr(schubert, "monk_product", doubled)
+    monkeypatch.setattr(schubert, "_monk_terms", doubled)
     return real
 
 
@@ -246,7 +246,7 @@ def test_scan_multfree_reports_each_failing_product(capsys, monkeypatch):
         f"multiplicity 2 at clan {render_clan(c)}, m={m}"
         for c in enumerate_clans(2, 1)
         for m in (1, 2)
-        if real(m, brion_class(c), 3).coeffs
+        if real(m, brion_class(c).coeffs, 3)
     ]
     assert failing and lines == [*failing, f"{len(failing)} of 12 products carry multiplicity >= 2"]
 

@@ -4,6 +4,7 @@ import copy
 import itertools
 import math
 import pickle
+import random
 
 import pytest
 
@@ -105,6 +106,12 @@ def test_length_against_inversion_count():
         for w in symmetric_group(n):
             assert w.length() == brute_inversions(w.images)
     assert Permutation((3, 2, 1, 4)).length() == 3
+    # past the grid: random permutations up to degree 200
+    rng = random.Random(7)
+    for n in (6, 12, 50, 200):
+        for _ in range(20):
+            images = rng.sample(range(1, n + 1), n)
+            assert Permutation(images).length() == brute_inversions(images)
 
 
 def test_composition_convention():

@@ -39,6 +39,7 @@ from clanhess.poset import InclusionPoset  # noqa: E402
 from clanhess.schubert import SchubertExpansion, monk_product, product_oracle  # noqa: E402
 from clanhess.weak_order import _SWAP, covers_from, w_set  # noqa: E402
 from test_fast_path import assert_matches_validated_build  # noqa: E402
+from test_schubert import monk_oracle  # noqa: E402
 from test_weak_order import w_set_oracle  # noqa: E402
 
 FIXED = settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -150,6 +151,44 @@ def test_monk_product_matches_the_polynomial_oracle(factor_and_expansion):
     n = max(max(len(u.key) for u in expansion.coeffs), m + 1)
     truncated = {w: c for w, c in stable.coeffs.items() if len(w.key) <= n}
     assert monk_product(m, expansion, n=n).coeffs == truncated
+
+
+@st.composite
+def cancelling_monk_expansions(draw):
+    """m and a signed expansion in S_6 whose product by S_{s_m} cancels:
+    two terms u1, u2 with u1 * t_{ab} = u2 * t_{cd} = w for a <= m < b and
+    c <= m < d carry opposite coefficients, so S_w drops out; up to two
+    random terms of S_6 ride along."""
+    m = draw(st.integers(1, 5))
+    w = Permutation(draw(st.permutations(range(1, 7))))
+    below = [
+        u
+        for j in range(1, m + 1)
+        for k in range(m + 1, 7)
+        if (u := w * Permutation.transposition(j, k, 6)).length() == w.length() - 1
+    ]
+    hypothesis.assume(len(below) >= 2)
+    u1, u2 = draw(st.permutations(below))[:2]
+    coeff = draw(st.integers(-3, 3).filter(bool))
+    coeffs = {u1: coeff, u2: -coeff}
+    for u in draw(st.lists(permutations(6), max_size=2)):
+        coeffs.setdefault(u, draw(st.integers(-2, 2).filter(bool)))
+    return m, w, SchubertExpansion(coeffs)
+
+
+@FIXED
+@given(cancelling_monk_expansions())
+def test_monk_product_drops_cancelled_terms(factor_and_expansion):
+    m, w, expansion = factor_and_expansion
+    for n in (6, None):
+        got = monk_product(m, expansion, n)
+        assert got == monk_oracle(m, expansion, n)
+        assert 0 not in got.coeffs.values()
+        for term in got.coeffs:
+            assert_matches_validated_build(term)
+    # the two opposite terms cancel at S_w; only a random term brings it back
+    assert w not in got.coeffs or len(expansion.coeffs) > 2
+    assert got == product_oracle(m, expansion)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)

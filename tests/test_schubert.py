@@ -2,12 +2,13 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
 from clanhess import schubert
 from clanhess.clans import dense_clan, enumerate_clans, parse_clan
-from clanhess.perms import Permutation, parse_permutation, symmetric_group
+from clanhess.perms import Permutation, parse_permutation, symmetric_group, trim_fixed_points
 from clanhess.schubert import (
     IntPolynomial,
     SchubertExpansion,
@@ -21,6 +22,9 @@ from clanhess.schubert import (
 )
 
 x1, x2, x3 = (IntPolynomial.variable(i) for i in (1, 2, 3))
+
+# every shape p >= q >= 1 with p + q <= 7
+SHAPES = [(p, n - p) for n in range(2, 8) for p in range(n - 1, 0, -1) if p >= n - p]
 
 
 def S(text):
@@ -267,19 +271,128 @@ def test_monk_stable_products_multiplicity_free_on_single_terms():
             assert is_multiplicity_free(monk_product(m, SchubertExpansion({u: 1})))
 
 
+def monk_oracle(m, expansion, n=None):
+    """Monk's rule as a scan over every pair of positions j <= m - 1 < k,
+    each term trimmed by ``trim_fixed_points`` and built by the validating
+    constructor; ``monk_product`` must agree with it."""
+    out = {}
+    for u, coeff in expansion.coeffs.items():
+        top = n if n is not None else max(u.degree, m) + 1
+        images = u.key + tuple(range(len(u.key) + 1, top + 1))
+        for j in range(m):
+            low = images[j]
+            high = top + 1  # the least entry above low seen right of j
+            for k in range(j + 1, top):
+                v = images[k]
+                if low < v < high:
+                    high = v
+                    if k >= m:
+                        move = list(images)
+                        move[j], move[k] = v, low
+                        key = trim_fixed_points(move)
+                        out[key] = out.get(key, 0) + coeff
+    return SchubertExpansion({Permutation(w): c for w, c in out.items()})
+
+
+def divisor_scan_oracle(clans, max_m):
+    """``divisor_product_scan`` as a loop of ``monk_product`` and
+    ``is_multiplicity_free``."""
+    memo: dict = {}
+    failures = []
+    for clan in clans:
+        cls = schubert.brion_class(clan, memo)
+        for m in range(1, max_m + 1):
+            product = monk_product(m, cls, n=clan.n)
+            if not is_multiplicity_free(product):
+                failures.append((clan, m, max(product.coeffs.values())))
+    return failures, len(clans) * max_m
+
+
+def test_monk_product_matches_the_position_scan_oracle():
+    # every class up to p + q = 7: all m in H^*(Fl_n), m up to n + 1 stable
+    for p, q in SHAPES:
+        n = p + q
+        memo: dict = {}
+        for clan in enumerate_clans(p, q):
+            cls = brion_class(clan, memo)
+            for m in range(1, n):
+                assert monk_product(m, cls, n) == monk_oracle(m, cls, n), (clan, m)
+            for m in range(1, n + 2):
+                assert monk_product(m, cls) == monk_oracle(m, cls), (clan, m)
+
+
+def test_stable_monk_product_is_linear_in_m():
+    # positions past the end of u and below m - 1 make no term; scanning
+    # them all took time quadratic in m, minutes at this m
+    u = Permutation((2, 1))
+    t0 = time.perf_counter()
+    got = monk_product(100000, SchubertExpansion({u: 1}))
+    assert time.perf_counter() - t0 < 5
+    assert got == SchubertExpansion({u * Permutation.simple(100000): 1})
+
+
+def test_divisor_product_scan_matches_the_monk_product_loop(monkeypatch):
+    def compare():
+        failing = 0
+        for p, q in SHAPES:
+            clans = enumerate_clans(p, q)
+            got = divisor_product_scan(clans, p + q - 1)
+            assert got == divisor_scan_oracle(clans, p + q - 1)
+            failing += len(got[0])
+        return failing
+
+    assert compare() == 0
+    # signed classes with coefficients up to 2: the products carry
+    # multiplicities and negative coefficients
+    real_class, real_terms = schubert.brion_class, schubert._monk_terms
+
+    def signed(clan, cache=None):
+        terms = sorted(real_class(clan, cache).coeffs, key=lambda w: w.key)
+        return SchubertExpansion({w: (-1) ** i * (1 + (i % 5 == 4)) for i, w in enumerate(terms)})
+
+    with monkeypatch.context() as patch:
+        patch.setattr(schubert, "brion_class", signed)
+        assert compare()
+
+    # no two terms of these classes reach one product term, so no signing
+    # cancels: put a cancelled term (0) and a -1 into the products instead
+    def cancelling(m, terms, n):
+        out = real_terms(m, terms, n)
+        keys = sorted(out)
+        if keys:
+            out[keys[0]] = 0
+        if m % 2 and len(keys) > 1:
+            out[keys[-1]] = -1
+        return out
+
+    monkeypatch.setattr(schubert, "_monk_terms", cancelling)
+    assert compare()
+
+
+def test_divisor_product_scan_rejects_what_monk_product_rejects():
+    clans = enumerate_clans(3, 2)
+    with pytest.raises(ValueError) as monk:
+        monk_product(5, brion_class(clans[0]), n=5)
+    for max_m in (5, 9):
+        with pytest.raises(ValueError) as scan:
+            divisor_product_scan(clans, max_m)
+        assert str(scan.value) == str(monk.value) == "s_5 does not lie in S_5"
+    assert divisor_product_scan(clans, 0) == ([], 0)
+
+
 def test_divisor_product_scan_reports_the_largest_coefficient_in_scan_order(monkeypatch):
     # a product with a coefficient 3 fails with 3 as its largest coefficient
     clans = enumerate_clans(3, 2)
-    real = schubert.monk_product
+    real = schubert._monk_terms
 
-    def tripled(m, expansion, n=None):
-        coeffs = dict(real(m, expansion, n).coeffs)
-        if m == 2 and coeffs:
-            coeffs[min(coeffs, key=lambda w: w.key)] = 3
-        return SchubertExpansion(coeffs)
+    def tripled(m, terms, n):
+        out = dict(real(m, terms, n))
+        if m == 2 and out:
+            out[min(out)] = 3
+        return out
 
-    monkeypatch.setattr(schubert, "monk_product", tripled)
+    monkeypatch.setattr(schubert, "_monk_terms", tripled)
     failures, products = divisor_product_scan(clans, 3)
     assert products == 165
-    expected = [c for c in clans if real(2, brion_class(c), 5).coeffs]
+    expected = [c for c in clans if real(2, brion_class(c).coeffs, 5)]
     assert failures == [(c, 2, 3) for c in expected] and expected

@@ -485,6 +485,19 @@ def test_covers_share_the_node_objects(interval_only):
         assert cov.target is by_symbols[cov.target.symbols]
 
 
+@pytest.mark.parametrize("p,q", [(3, 3), (4, 3), (4, 4)])
+def test_covers_share_one_tuple_pair_per_distinct_pair(p, q):
+    graph = build_graph(p, q)
+    first: dict = {}
+    for cov in graph.covers:
+        seen = first.setdefault((cov.labels, cov.move_types), cov)
+        assert cov.labels is seen.labels and cov.move_types is seen.move_types
+    # 47 distinct pairs among the 9,520 covers at (4,4)
+    assert len(first) < len(graph.covers)
+    # and the same covers as covers_from gives, one clan at a time
+    assert graph.covers == tuple(cov for clan in graph.nodes for cov in covers_from(clan))
+
+
 def test_cover_leaving_the_node_set_is_an_error(monkeypatch):
     from clanhess import weak_order
 
