@@ -173,6 +173,14 @@ def _check_shape(p: int, q: int) -> None:
         raise ValueError(f"need p >= q >= 1, got ({p},{q})")
 
 
+def _check_degree(w: Permutation, p: int) -> int:
+    """q = deg(w), after checking p >= q >= 1 for gamma_w and its kin."""
+    q = w.degree
+    if not 1 <= q <= p:
+        raise ValueError(f"need p >= q = deg(w) >= 1, got p={p}, q={q}")
+    return q
+
+
 def enumerate_clans(p: int, q: int) -> tuple[Clan, ...]:
     """All (p,q)-clans, in the text order of ``render_clan``.
 
@@ -308,9 +316,7 @@ def gamma_w(w: Permutation, p: int) -> Clan:
     >>> str(gamma_w(Permutation((2, 1, 3)), 5))
     '123++213'
     """
-    q = w.degree
-    if p < q:
-        raise ValueError(f"need p >= q = deg(w), got p={p}, q={q}")
+    q = _check_degree(w, p)
     symbols: list = list(range(1, q + 1)) + [PLUS] * (p - q) + [w(j) for j in range(1, q + 1)]
     return Clan(symbols)
 

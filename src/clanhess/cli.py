@@ -37,6 +37,7 @@ import sys
 from . import verify as verify_mod
 from .clans import (
     Clan,
+    _check_shape,
     clan_to_json,
     enumerate_clans,
     gamma_w,
@@ -98,8 +99,7 @@ def _validated_shape(args) -> tuple[int, int]:
     p, q = args.p, args.q
     if p is None or q is None:
         raise ValueError("this command needs both --p and --q")
-    if not 1 <= q <= p:
-        raise ValueError(f"need p >= q >= 1, got p={p}, q={q}")
+    _check_shape(p, q)
     return p, q
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .clans import Clan, as_interval_permutation, clan_to_json
+from .clans import Clan, _check_degree, as_interval_permutation, clan_to_json
 from .perms import Permutation, avoids, h_vector, render_permutation, symmetric_group
 from .poset import inclusion_poset
 
@@ -164,16 +164,13 @@ def m_of_w(w: Permutation, p: int) -> tuple[int, ...]:
     >>> m_of_w(Permutation((2, 1, 3)), 3)
     (5, 5, 6, 6, 6, 6)
     """
-    q = w.degree
-    n = p + q
-    if not 1 <= q <= p:
-        raise ValueError(f"need p >= q = deg(w) >= 1, got p={p}, q={q}")
+    q = _check_degree(w, p)
     if not avoids(w, _PATTERN_231):
         raise ValueError(
             f"{render_permutation(w)} contains the pattern 231; "
             "no irreducible Hessenberg vector is attached to it"
         )
-    return tuple(p + h for h in h_vector(w.inverse())) + (n,) * p
+    return tuple(p + h for h in h_vector(w.inverse())) + (p + q,) * p
 
 
 def hess_dimension(w: Permutation, p: int) -> int:

@@ -238,11 +238,11 @@ class InclusionPoset:
         return mask and mask & self._cum[bisect_left(self._cum, 1, key=mask.__and__)]
 
     def contained(self, m) -> int:
-        """The bitmask of the clans whose orbit closure lies in the
-        Hessenberg variety of m, which must be a Hessenberg vector of
-        length n (see ``hessenberg.is_hessenberg_vector``).
-
-        Raises ValueError unless m has n entries, each in 0..n.
+        """The bitmask of the clans whose arc ends are <= m componentwise:
+        for a Hessenberg vector m, those whose orbit closure lies in its
+        Hessenberg variety.  The one check is that m has n entries, each in
+        0..n (else ValueError); ``hess_orbit_report`` checks the stricter
+        ``hessenberg.is_hessenberg_vector`` before it calls ``_contained``.
         """
         n = len(self._arc_ends)
         if len(m) != n or min(m) < 0 or max(m) > n:

@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 from .clans import (
     Clan,
+    _check_degree,
     _from_symbols,
     dense_clan,
     enumerate_clans,
@@ -188,13 +189,13 @@ def w_set(clan: Clan, _cache: dict | None = None) -> frozenset[Permutation]:
     of S_n, n = p + q, concatenated.  So ``s_i * W`` is one
     ``blob.translate(_SWAP[i])`` for a whole set, and the union over a
     clan's covers is a set of the words split back out of the translated
-    blobs, joined into a new blob.  Each distinct element is built as a
-    trimmed ``Permutation`` once per shape, and every returned set shares
-    those objects.  ``_cache`` is an opaque memo that calls on clans of any
-    shape may share; it holds the blobs by symbol tuple and, per shape, the
-    dense clan, the splitter and the table from words to their
-    ``Permutation``s, never the returned frozensets.  p + q above
-    ``W_SET_MAX_N`` is a ValueError.
+    blobs, joined into a new blob.  ``_cache`` is an opaque memo that calls
+    on clans of any shape may share: it holds the blobs by clan symbol
+    tuple, plus one table from word to ``Permutation`` for all shapes
+    (under the key None), never the returned frozensets.  Each distinct
+    element is built as a trimmed ``Permutation`` once, and every returned
+    set shares those objects; words of different n differ in length, so
+    they never collide.  p + q above ``W_SET_MAX_N`` is a ValueError.
 
     >>> sorted(w.reduced_word() for w in w_set(Clan("+-")))
     [(1,)]
@@ -203,17 +204,9 @@ def w_set(clan: Clan, _cache: dict | None = None) -> frozenset[Permutation]:
     if n > W_SET_MAX_N:
         raise ValueError(f"w_set supports p + q <= {W_SET_MAX_N}, got p + q = {n}")
     cache: dict = _cache if _cache is not None else {}
-    # never a symbol tuple, whose entries are ints and signs
-    shape_key = ("shape", clan.p, clan.q)
-    shape = cache.get(shape_key)
-    if shape is None:
-        # the dense clan's symbols; a splitter from a blob to its words
-        # (re.S, or "." would skip the byte 10 and drop every word holding
-        # it at n >= 10); each returned element's Permutation
-        split = re.compile(b".{%d}" % n, re.S).findall
-        shape = (dense_clan(clan.p, clan.q).symbols, split, {})
-        cache[shape_key] = shape
-    dense, split, table = shape
+    table = cache.setdefault(None, {})
+    # re.S, or "." would skip the byte 10 and drop every word holding it at n >= 10
+    split = re.compile(b".{%d}" % n, re.S).findall
 
     def rec(symbols: tuple) -> bytes:
         got = cache.get(symbols)
@@ -224,7 +217,7 @@ def w_set(clan: Clan, _cache: dict | None = None) -> frozenset[Permutation]:
             acc.update(split(rec(target).translate(_SWAP[i])))
         if acc:
             result = b"".join(acc)
-        elif symbols == dense:
+        elif symbols == dense_clan(clan.p, clan.q).symbols:
             result = bytes(range(1, n + 1))
         else:
             raise RuntimeError(f"non-dense clan with no covers: {Clan(symbols)}")
@@ -241,9 +234,7 @@ def w_set(clan: Clan, _cache: dict | None = None) -> frozenset[Permutation]:
 def factorization_bijection(w: Permutation, p: int) -> dict[tuple[Permutation, Permutation], Permutation]:
     """The map (u, v) -> u * phi(v), phi in S_{p+q}, on the length-additive
     factorizations w*y0 = u*v; its image is the W-set of gamma_w."""
-    q = w.degree
-    if not 1 <= q <= p:
-        raise ValueError(f"need p >= q = deg(w) >= 1, got p={p}, q={q}")
+    q = _check_degree(w, p)
     return {(u, v): u * phi(v, p + q) for u, v in factorization_pairs(w * Permutation.longest(q))}
 
 

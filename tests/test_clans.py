@@ -24,7 +24,9 @@ from clanhess.clans import (
     render_clan,
     statistics,
 )
+from clanhess.hessenberg import m_of_w
 from clanhess.perms import Permutation, symmetric_group
+from clanhess.weak_order import factorization_bijection
 
 
 def test_canonicalization():
@@ -289,6 +291,16 @@ def test_gamma_w_shapes():
         for p in (q, q + 2):
             clans = interval_clans(p, q)
             assert list(clans) == sorted(clans, key=render_clan)
+
+
+@pytest.mark.parametrize("images,p", [((1, 2, 3), 2), ((), 3)], ids=["p<q", "q=0"])
+def test_one_degree_check_for_gamma_w_and_its_kin(images, p):
+    # gamma_w, m_of_w and factorization_bijection share one check and message
+    w = Permutation(images)
+    message = f"need p >= q = deg\\(w\\) >= 1, got p={p}, q={len(images)}$"
+    for function in (gamma_w, m_of_w, factorization_bijection):
+        with pytest.raises(ValueError, match=message):
+            function(w, p)
 
 
 def test_as_interval_permutation():

@@ -505,10 +505,13 @@ def test_a_lone_bound_is_checked(argv, bound, capsys):
 
 
 def test_shape_validation(capsys):
-    status, _ = run(capsys, "clans", "enumerate", "--p", "1", "--q", "2")
-    assert status == 1
-    status, _ = run(capsys, "clans", "enumerate", "--p", "2")
-    assert status == 1
+    # the message of clans._check_shape, which the library raises too
+    assert main(["clans", "enumerate", "--p", "1", "--q", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "clanhess: error: need p >= q >= 1, got (1,2)\n"
+    assert main(["clans", "enumerate", "--p", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "clanhess: error: this command needs both --p and --q\n"
 
 
 def test_unknown_subcommand_exits_1():

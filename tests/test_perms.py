@@ -100,6 +100,24 @@ def test_permutations_refuse_assignment_and_deletion():
         w.__dict__
 
 
+def blocks_permutation(rng, n):
+    """A random permutation of degree n laid out in blocks of consecutive
+    values: identity runs, shuffled blocks, and blocks whose two ends swap
+    (as in a Monk term t_{jk}), so some cuts fall inside long runs."""
+    images: list[int] = []
+    while len(images) < n:
+        start = len(images) + 1
+        size = min(n - len(images), rng.choice((1, 2, 5, 40, 400, 1500)))
+        block = list(range(start, start + size))
+        kind = rng.randrange(3)
+        if kind == 1:
+            rng.shuffle(block)
+        elif kind == 2:
+            block[0], block[-1] = block[-1], block[0]
+        images += block
+    return images
+
+
 def test_length_against_inversion_count():
     # oracle: direct inversion count over all index pairs
     for n in range(1, 6):
@@ -112,6 +130,14 @@ def test_length_against_inversion_count():
         for _ in range(20):
             images = rng.sample(range(1, n + 1), n)
             assert Permutation(images).length() == brute_inversions(images)
+    # blocks of consecutive values put cuts (the entries from position i on
+    # are exactly i..n, where the count starts over) everywhere, up to degree 2,000
+    for n in [1, 2, 3, 10, 40, 300] * 4 + [2000, 2000]:
+        images = blocks_permutation(rng, n)
+        assert sorted(images) == list(range(1, n + 1))
+        assert Permutation(images).length() == brute_inversions(images)
+    # a lone transposition past a long identity run, the shape of a stable Monk term
+    assert Permutation.transposition(1999, 2001).length() == 3
 
 
 def test_composition_convention():

@@ -5,6 +5,7 @@ move definitions; W-set values were computed by hand from the recursion and
 cross-checked against the length-additive-factorization description.
 """
 
+import itertools
 import json
 
 import pytest
@@ -161,11 +162,28 @@ def test_w_sets_match_the_oracle(p, q):
 
 
 def test_one_memo_shares_equal_elements():
+    # one table from word to Permutation serves every shape: equal words at
+    # equal n are equal elements, so (5,3) and (4,4) share their objects too
     cache = {}
     seen = {}
-    for clan in enumerate_clans(3, 2):
-        for x in w_set(clan, cache):
-            assert seen.setdefault(x, x) is x
+    for p, q in [(3, 2), (5, 3), (4, 4)]:
+        for clan in enumerate_clans(p, q):
+            for x in w_set(clan, cache):
+                assert seen.setdefault((p + q, x), x) is x
+    assert len(seen) == len(cache[None])
+
+
+def test_memo_keys_are_clan_symbol_tuples_but_one():
+    cache = {}
+    for p, q in [(2, 1), (3, 3), (4, 1), (2, 2)]:
+        for clan in enumerate_clans(p, q):
+            w_set(clan, cache)
+    others = [key for key in cache if not isinstance(key, tuple)]
+    assert others == [None]
+    for key in cache:
+        if key is not None:
+            assert Clan(key).symbols == key
+            assert isinstance(cache[key], bytes)
 
 
 def test_one_memo_serves_two_shapes_of_equal_size():
@@ -304,6 +322,17 @@ def test_w_set_matches_factorization_description(q, p):
     cache = {}
     for w in symmetric_group(q):
         assert w_set(gamma_w(w, p), cache) == w_set_via_bijection(w, p)
+
+
+def test_one_memo_splits_words_holding_the_byte_10_over_mixed_shapes():
+    # every word at n >= 10 holds the byte 10 (b"\n"); the shapes at n = 10
+    # and 11 take turns on one memo, and each W-set matches the bijection
+    cache = {}
+    runs = [(6, 4), (6, 5), (7, 3), (8, 3), (7, 4)]
+    for w_by_shape in itertools.zip_longest(*(symmetric_group(q) for _, q in runs)):
+        for (p, q), w in zip(runs, w_by_shape):
+            if w is not None:
+                assert w_set(gamma_w(w, p), cache) == w_set_via_bijection(w, p)
 
 
 @pytest.mark.parametrize("p", [0, 1, 2])
