@@ -373,8 +373,7 @@ def _build_parser() -> _Parser:
         type=int,
         default=None,
         help=f"largest p + q for exhaustive scans, at least 2 (default: {verify_mod.CLASSIFICATION_MAX_TOTAL} "
-        f"for the classification, {verify_mod.ORACLE_MAX_TOTAL} for the geometric oracle, "
-        f"which never scans past {verify_mod.ORACLE_MAX_TOTAL})",
+        f"for the classification, {verify_mod.ORACLE_MAX_TOTAL} for the geometric oracle)",
     )
     ver.add_argument("--seed", type=int, default=None, help="seed for randomized spot checks (default: 0)")
     ver.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")

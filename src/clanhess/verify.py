@@ -16,9 +16,9 @@ single :class:`CheckResult`:
    ``m(w)``, and the orbit dimension of ``gamma_w`` agree exactly.
 4. ``oracle_checks``           -- the geometric rank-condition membership
    oracle (each representative flag's least Hessenberg vector) agrees with
-   the arc criterion (``InclusionPoset.contained``, one whole shape per
-   vector) on every (clan, vector) pair with ``p + q <= 6``, plus
-   randomized K-invariance spot checks.
+   the arc criterion (the arc ends behind ``InclusionPoset.contained``) at
+   every Hessenberg vector, one comparison per clan, for every clan with
+   ``p + q <= 6`` by default; plus randomized K-invariance spot checks.
 5. ``wset_checks``             -- the recursive W-set equals the image of
    the length-additive factorization bijection, with matching cardinality.
 6. ``two_sided_order_checks``  -- the labeled interval graph matches the
@@ -43,8 +43,7 @@ from __future__ import annotations
 
 import random
 import time
-from itertools import product
-from operator import le
+from itertools import accumulate, product
 from typing import NamedTuple
 
 from .clans import (
@@ -78,7 +77,7 @@ from .perms import (
     symmetric_group,
     weak_order_leq,
 )
-from .poset import InclusionPoset, inclusion_poset, members
+from .poset import InclusionPoset, _key_columns, inclusion_poset, members
 from .schubert import (
     IntPolynomial,
     SchubertExpansion,
@@ -343,47 +342,47 @@ def dimension_checks() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-ORACLE_MAX_TOTAL = 6  # rank scans above this p + q are out of the supported envelope
+ORACLE_MAX_TOTAL = 6  # criterion 4's default bound on p + q
 
 
 def oracle_checks(max_total: int = ORACLE_MAX_TOTAL, seed: int = 0) -> CheckResult:
-    """Criterion 4: rank-condition membership (the representative flag's
-    least Hessenberg vector is <= m) equals the arc criterion, plus randomized
-    K-invariance spot checks of the flag representatives.  For each m, the
-    clans whose least vector is <= m are compared as one mask with the shape's
-    ``contained(m)``, and each disagreeing clan is named.  A max_total above
-    ORACLE_MAX_TOTAL is clamped, and the result says so; below 2, ValueError."""
+    """Criterion 4: for every clan with p + q <= max_total and every
+    Hessenberg vector m, rank-condition membership (the representative
+    flag's least Hessenberg vector is <= m) equals the arc criterion (the
+    arc ends r, read from ``poset._key_columns`` as ``contained`` reads
+    them, are <= m); plus randomized K-invariance spot checks.  Below 2,
+    ValueError.
+
+    The scan over m is one comparison per clan, least vector == h with
+    h_i = max(i, r_1, ..., r_i), since for Hessenberg m: (a) the flag lies
+    in Hess(x, m) iff its least vector is <= m (``flag_oracle`` docstring);
+    (b) r <= m iff h <= m, as m is nondecreasing with m_i >= i; (c) two
+    Hessenberg vectors that bound the same set of Hessenberg m are equal
+    (take m to be each).  A failing clan is named with both vectors."""
     check_max_total(max_total)
     t0 = time.perf_counter()
     problems: list[str] = []
     rng = random.Random(seed)
     agreements = 0
     spotchecks = 0
-    scanned = min(max_total, ORACLE_MAX_TOTAL)
-    for p, q in _shapes(scanned):
-        poset = inclusion_poset(p, q)
-        clans = poset.clans
-        vectors = list(hessenberg_vectors(p + q))
-        leasts = [least_hessenberg_vector(clan) for clan in clans]
-        for m in vectors:
-            geo = sum(1 << c for c, least in enumerate(leasts) if all(map(le, least, m)))
-            comb = poset.contained(m)
-            for c in members(geo ^ comb):
-                problems.append(
-                    f"{render_clan(clans[c])} m={m}: "
-                    f"geometric={bool(geo >> c & 1)} arc={bool(comb >> c & 1)}"
-                )
-            agreements += len(clans)
-        for clan in rng.sample(list(clans), min(3, len(clans))):
+    for p, q in _shapes(max_total):
+        n = p + q
+        clans = enumerate_clans(p, q)
+        vectors = list(hessenberg_vectors(n))
+        _, ends = _key_columns(clans, n, q)
+        for clan, r in zip(clans, zip(*ends)):
+            h = tuple(accumulate(map(max, range(1, n + 1), r), max))
+            least = least_hessenberg_vector(clan)
+            if least != h:
+                problems.append(f"{render_clan(clan)}: least vector {least}, arc closure {h}")
+        agreements += len(clans) * len(vectors)
+        for clan in rng.sample(clans, min(3, len(clans))):
             for m in rng.sample(vectors, min(2, len(vectors))):
                 spotchecks += 1
                 if not k_invariance_spotcheck(clan, m, trials=4, seed=rng.randrange(2**30)):
                     problems.append(f"K-invariance failed for {render_clan(clan)} m={m}")
-    clamp = ""
-    if scanned < max_total:
-        clamp = f" (p + q <= {max_total} requested, clamped to {scanned})"
     detail = (
-        f"{agreements} (clan, m) membership agreements across p + q <= {scanned}{clamp}, "
+        f"{agreements} (clan, m) membership agreements across p + q <= {max_total}, "
         f"{spotchecks} K-invariance spot checks"
     )
     return _finish("geometric-oracle", problems, detail, t0)

@@ -320,10 +320,12 @@ def test_verify_subset_passes(capsys):
     assert len(lines) == 1 and lines[0].startswith("PASS criterion 5")
 
 
-def test_verify_oracle_reports_the_clamp(capsys):
+def test_verify_oracle_reaches_past_its_default(capsys):
+    # one comparison per clan, so a --max-n above the default is scanned, not clamped
     status, lines = run(capsys, "verify", "oracle", "--max-n", "7")
     assert status == 0
-    assert "agreements across p + q <= 6 (p + q <= 7 requested, clamped to 6)," in lines[0]
+    assert "446798 (clan, m) membership agreements across p + q <= 7, " in lines[0]
+    assert "clamped" not in lines[0]
     status, lines = run(capsys, "verify", "oracle")
     assert status == 0
     assert "agreements across p + q <= 6, " in lines[0] and "clamped" not in lines[0]
@@ -529,4 +531,4 @@ def test_verify_help_shows_the_check_defaults(capsys, monkeypatch):
             main(["verify", "--help"])
         assert exc.value.code == 0
         text = " ".join(capsys.readouterr().out.split())
-        assert f"default: {classification} for the classification, {oracle} for the geometric oracle" in text
+        assert f"default: {classification} for the classification, {oracle} for the geometric oracle)" in text

@@ -220,25 +220,25 @@ def test_k_invariance_spotcheck():
 
 def test_criterion_4_names_each_disagreeing_clan(monkeypatch):
     from clanhess import verify
-    from clanhess.poset import InclusionPoset
 
     pairs = sum(
         len(enumerate_clans(p, q)) * len(list(hessenberg_vectors(p + q))) for p, q in shapes(4)
     )
     assert verify.oracle_checks(max_total=4).detail.startswith(f"{pairs} (clan, m) ")
-    # a wrong arc criterion that misplaces the first and the last clan
-    right = InclusionPoset.contained
+    # criterion 4 reads the arc ends from the poset kernel, so a kernel that
+    # moves the arc (1, 4) of 1+-1 to (1, 3) must fail it; ``contained``
+    # itself stays checked against ``orbit_in_hess`` by
+    # test_poset.py::test_contained_agrees_with_orbit_in_hess and by criterion 2
+    right = verify._key_columns
 
-    def wrong(self, m):
-        return right(self, m) ^ 1 ^ (1 << len(self.clans) - 1)
+    def moved(clans, n, q):
+        key, ends = right(clans, n, q)
+        if (n, q) == (4, 2):
+            c = [str(clan) for clan in clans].index("1+-1")
+            ends[0] = ends[0][:c] + bytes([3]) + ends[0][c + 1 :]
+        return key, ends
 
-    monkeypatch.setattr(InclusionPoset, "contained", wrong)
-    result = verify.oracle_checks(max_total=2)
-    assert not result.passed
-    assert result.detail == (
-        "+- m=(1, 2): geometric=True arc=False; 11 m=(1, 2): geometric=False arc=True; "
-        "+- m=(2, 2): geometric=True arc=False; +1 more"
-    )
-    # two disagreements per (shape, m) with p + q <= 4: 2 * (2 + 5 + 14 + 14)
+    monkeypatch.setattr(verify, "_key_columns", moved)
     result = verify.oracle_checks(max_total=4)
-    assert not result.passed and result.detail.endswith("; +67 more")
+    assert not result.passed
+    assert result.detail == "1+-1: least vector (4, 4, 4, 4), arc closure (3, 3, 3, 4)"
