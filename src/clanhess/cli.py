@@ -144,23 +144,21 @@ def _cmd_poset(args) -> tuple[int, list[str]]:
         text = graph_to_dot(graph) if args.format == "dot" else graph_to_json(graph)
         return 0, [text]
     poset = InclusionPoset(interval_clans(p, q)) if args.interval else inclusion_poset(p, q)
-    nodes = poset.clans
-    covers = [(nodes[i], nodes[j]) for i, j in poset.covers()]
+    names = [render_clan(c) for c in poset.clans]
+    covers = poset.covers()
     if args.format == "json":
         payload = {
             "p": p,
             "q": q,
             "order": "inclusion",
             "interval": args.interval,
-            "nodes": [render_clan(c) for c in nodes],
-            "covers": [
-                {"source": render_clan(a), "target": render_clan(b)} for a, b in covers
-            ],
+            "nodes": names,
+            "covers": [{"source": names[i], "target": names[j]} for i, j in covers],
         }
         return 0, [json.dumps(payload)]
     lines = ["digraph inclusion {"]
-    lines.extend(f'  "{render_clan(c)}";' for c in nodes)
-    lines.extend(f'  "{render_clan(a)}" -> "{render_clan(b)}";' for a, b in covers)
+    lines.extend(f'  "{name}";' for name in names)
+    lines.extend(f'  "{names[i]}" -> "{names[j]}";' for i, j in covers)
     lines.append("}")
     return 0, ["\n".join(lines)]
 

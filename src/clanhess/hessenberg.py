@@ -37,7 +37,8 @@ _PATTERN_231 = Permutation((2, 3, 1))
 
 
 def is_hessenberg_vector(m, n: int | None = None) -> bool:
-    """True iff m is nondecreasing with i <= m_i <= len(m) (and length n).
+    """True iff m is nondecreasing with i <= m_i <= len(m) (and length n),
+    its entries ints and not bools.
 
     >>> is_hessenberg_vector((1, 3, 3))
     True
@@ -50,7 +51,7 @@ def is_hessenberg_vector(m, n: int | None = None) -> bool:
     size = len(m)
     prev = 1
     for i, v in enumerate(m, 1):
-        if not (isinstance(v, int) and i <= v <= size and v >= prev):
+        if isinstance(v, bool) or not (isinstance(v, int) and i <= v <= size and v >= prev):
             return False
         prev = v
     return size > 0

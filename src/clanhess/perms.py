@@ -10,9 +10,9 @@ fixed), so equality and hashing ignore trailing fixed points.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
-from operator import index
+from itertools import accumulate, combinations, permutations
+from operator import index, le
 
 __all__ = [
     "Permutation",
@@ -113,10 +113,14 @@ class Permutation:
         """
         if n is None:
             n = max(letters, default=0) + 1
-        acc = cls.identity(max(n, 1))
+        images = list(range(1, max(n, 1) + 1))
         for i in letters:
-            acc = acc * cls.simple(i, n)
-        return acc
+            if i < 1:
+                raise ValueError(f"simple reflection index must be >= 1: {i}")
+            if i >= n:
+                raise ValueError(f"bad transposition ({i},{i + 1}) in S_{n}")
+            images[i - 1], images[i] = images[i], images[i - 1]
+        return cls(tuple(images))
 
     @classmethod
     def from_code(cls, code: tuple[int, ...] | list[int]) -> "Permutation":
@@ -182,55 +186,53 @@ class Permutation:
     # -- classical statistics -------------------------------------------------
 
     def length(self) -> int:
-        """Number of inversions, counted right to left against the sorted
-        entries back to the last cut: a position i where the entries from i
-        on are exactly i..n (their minimum is i), which no inversion crosses.
-        So the fixed points of a stable Monk term at large m cost O(1) each.
+        """Number of inversions, the sum of the Lehmer code.
 
         >>> Permutation((3, 2, 1, 4)).length()
         3
         """
-        seen: list[int] = []
-        count = 0
-        i = len(self.key)
-        for v in reversed(self.key):
-            pos = bisect_left(seen, v)
-            count += pos
-            seen.insert(pos, v)
-            if seen[0] == i:
-                seen = []
-            i -= 1
-        return count
+        return sum(self.code())
 
     def code(self) -> tuple[int, ...]:
-        """Lehmer code: entry i counts j > i with w(j) < w(i).
+        """Lehmer code: entry i counts j > i with w(j) < w(i), by bisection
+        right to left among the entries back to the last cut, a position i
+        whose entries from i on are exactly i..n, which no inversion crosses.
 
         >>> Permutation((3, 1, 2)).code()
         (2, 0, 0)
         """
-        images = self.images
-        return tuple(
-            sum(1 for j in range(i + 1, len(images)) if images[j] < images[i])
-            for i in range(len(images))
-        )
-
-    def left_descents(self) -> tuple[int, ...]:
-        """Letters i with length(s_i * w) < length(w)."""
-        inv = self.inverse().images
-        return tuple(i for i in range(1, len(inv)) if inv[i - 1] > inv[i])
+        seen: list[int] = []
+        code = []
+        i = len(self.images)
+        for v in reversed(self.images):
+            pos = bisect_left(seen, v)
+            code.append(pos)
+            seen.insert(pos, v)
+            if seen[0] == i:
+                seen = []
+            i -= 1
+        return tuple(reversed(code))
 
     def reduced_word(self) -> tuple[int, ...]:
-        """Lexicographically smallest reduced word for w.
+        """Lexicographically smallest reduced word for w, in one pass over the
+        positions of the values: where i+1 sits left of i, swap them (s_i * w)
+        and step back one, as no smaller left descent can appear.
 
         >>> Permutation((1, 2, 3, 6, 5, 4)).reduced_word()
         (4, 5, 4)
         """
+        at = [0] * len(self.images)
+        for a, v in enumerate(self.images):
+            at[v - 1] = a
         word = []
-        cur = self.trimmed()
-        while cur.key:
-            i = cur.left_descents()[0]
-            word.append(i)
-            cur = (Permutation.simple(i) * cur).trimmed()
+        i = 1
+        while i < len(at):
+            if at[i - 1] > at[i]:
+                at[i - 1], at[i] = at[i], at[i - 1]
+                word.append(i)
+                i = max(i - 1, 1)
+            else:
+                i += 1
         return tuple(word)
 
     def all_reduced_words(self):
@@ -239,9 +241,11 @@ class Permutation:
         if not self.key:
             yield ()
             return
-        for i in self.left_descents():
-            for rest in (Permutation.simple(i) * self).all_reduced_words():
-                yield (i,) + rest
+        inv = self.inverse().images
+        for i in range(1, len(inv)):
+            if inv[i - 1] > inv[i]:
+                for rest in (Permutation.simple(i) * self).all_reduced_words():
+                    yield (i,) + rest
 
 
 # the slot setters, bound once: Permutation.__setattr__ refuses assignment, so the
@@ -275,7 +279,7 @@ def trim_fixed_points(images) -> tuple[int, ...]:
 
 def symmetric_group(n: int):
     """Yield all of S_n in lexicographic one-line order."""
-    for images in itertools.permutations(range(1, n + 1)):
+    for images in permutations(range(1, n + 1)):
         yield Permutation(images)
 
 
@@ -287,11 +291,8 @@ def avoids(w: Permutation, pattern: Permutation) -> bool:
     >>> avoids(Permutation((4, 1, 2, 3)), Permutation((3, 1, 2)))
     False
     """
-    images = w.images
     target = pattern.images
-    d = len(target)
-    for idxs in itertools.combinations(range(len(images)), d):
-        vals = [images[i] for i in idxs]
+    for vals in combinations(w.images, len(target)):
         order = sorted(vals)
         if tuple(order.index(v) + 1 for v in vals) == target:
             return False
@@ -375,25 +376,12 @@ def weak_order_leq(x: Permutation, y: Permutation, mode: str = "two-sided") -> b
 
 
 def bruhat_leq(x: Permutation, y: Permutation) -> bool:
-    """Bruhat order via the rank-matrix criterion.
-
-    x <= y iff |{a <= i : x(a) <= j}| >= |{a <= i : y(a) <= j}| for all i, j.
-    """
+    """Bruhat order via Ehresmann's tableau criterion (Bjorner-Brenti, 2.6):
+    x <= y iff for each i the sorted first i entries of x lie entrywise at or
+    below those of y."""
     n = max(x.degree, y.degree)
     xi, yi = x.embedded(n).images, y.embedded(n).images
-    for i in range(1, n):
-        rx = ry = 0
-        xcount = [0] * (n + 1)
-        ycount = [0] * (n + 1)
-        for a in range(i):
-            xcount[xi[a]] = 1
-            ycount[yi[a]] = 1
-        for j in range(1, n):
-            rx += xcount[j]
-            ry += ycount[j]
-            if rx < ry:
-                return False
-    return True
+    return all(all(map(le, sorted(xi[:i]), sorted(yi[:i]))) for i in range(1, n))
 
 
 def h_vector(w: Permutation) -> tuple[int, ...]:
@@ -402,12 +390,7 @@ def h_vector(w: Permutation) -> tuple[int, ...]:
     >>> h_vector(Permutation((3, 2, 1, 4)))
     (3, 3, 3, 4)
     """
-    out = []
-    cur = 0
-    for v in w.images:
-        cur = max(cur, v)
-        out.append(cur)
-    return tuple(out)
+    return tuple(accumulate(w.images, max))
 
 
 def parse_permutation(text: str) -> Permutation:

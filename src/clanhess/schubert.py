@@ -425,8 +425,10 @@ def divisor_product_scan(clans: tuple[Clan, ...], max_m: int) -> tuple[list[tupl
     order, and the number of products.  Each product is read as the
     coefficients of ``_monk_terms``, with no ``Permutation`` built; one
     ``w_set`` memo serves the call.  ``max_m`` above n - 1 is the
-    ValueError ``monk_product`` raises.
+    ValueError ``monk_product`` raises, and so is ``max_m`` below 1.
     """
+    if max_m < 1:
+        raise ValueError(f"Monk factor must be S_{{s_m}} with m >= 1: {max_m}")
     cache: dict = {}
     failures = []
     for clan in clans:

@@ -184,6 +184,40 @@ def test_poset_inclusion_interval_covers_match_transitive_reduction(capsys):
     assert [(c["source"], c["target"]) for c in data["covers"]] == want
 
 
+def _clan_pair_inclusion_writer(poset, p, q, interval, fmt):
+    """``poset inclusion`` as written from a list of clan pairs, each clan
+    rendered once per node and once per cover end: the oracle for the
+    writer that renders each clan once."""
+    nodes = poset.clans
+    covers = [(nodes[i], nodes[j]) for i, j in poset.covers()]
+    if fmt == "json":
+        payload = {
+            "p": p,
+            "q": q,
+            "order": "inclusion",
+            "interval": interval,
+            "nodes": [render_clan(c) for c in nodes],
+            "covers": [{"source": render_clan(a), "target": render_clan(b)} for a, b in covers],
+        }
+        return json.dumps(payload)
+    lines = ["digraph inclusion {"]
+    lines.extend(f'  "{render_clan(c)}";' for c in nodes)
+    lines.extend(f'  "{render_clan(a)}" -> "{render_clan(b)}";' for a, b in covers)
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def test_poset_inclusion_bytes_match_the_clan_pair_writer(capsys):
+    shapes = [(p, q, False) for p in range(1, 7) for q in range(1, p + 1) if p + q <= 7]
+    shapes += [(p, q, True) for p in range(1, 8) for q in range(1, p + 1) if p + q <= 8]
+    for p, q, interval in shapes:
+        poset = InclusionPoset(interval_clans(p, q) if interval else enumerate_clans(p, q))
+        for fmt in ("dot", "json"):
+            argv = ["poset", "inclusion", "--p", str(p), "--q", str(q), "--format", fmt]
+            assert main(argv + ["--interval"] * interval) == 0
+            assert capsys.readouterr().out == _clan_pair_inclusion_writer(poset, p, q, interval, fmt) + "\n"
+
+
 def test_monk_cohomology_vs_stable(capsys):
     status, lines = run(capsys, "monk", "5", "123", "--p", "3", "--q", "3")
     assert status == 0

@@ -11,6 +11,7 @@ from clanhess.clans import (
     parse_clan,
     render_clan,
 )
+from clanhess.flag_oracle import geometric_membership
 from clanhess.hessenberg import (
     area,
     catalan,
@@ -35,6 +36,21 @@ def test_is_hessenberg_vector():
     assert not is_hessenberg_vector((1, 2, 2))  # m_3 < 3
     assert not is_hessenberg_vector((1, 2, 4))  # m_3 > n
     assert not is_hessenberg_vector(())
+
+
+def test_bool_entries_are_not_hessenberg_vectors():
+    # isinstance(True, int) holds, so bools need their own refusal
+    for m in ((True, 2), (1, True), (True,), (False, 2)):
+        assert not is_hessenberg_vector(m)
+    assert is_hessenberg_vector((1, 2)) and is_hessenberg_vector((1,))
+    clan = parse_clan("1+1")
+    for call in (
+        lambda: hess_orbit_report(1, 1, (True, 2)),
+        lambda: orbit_in_hess(parse_clan("11"), (True, 2)),
+        lambda: geometric_membership(clan, (2, True, 3)),
+    ):
+        with pytest.raises(ValueError, match="not a Hessenberg vector"):
+            call()
 
 
 def test_hessenberg_vector_counts_are_catalan():

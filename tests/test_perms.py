@@ -190,6 +190,112 @@ def test_from_word_and_reduced_word():
             assert word == min(w.all_reduced_words())
 
 
+def _code_oracle(w):
+    """The Lehmer code as a double loop over position pairs."""
+    images = w.images
+    return tuple(
+        sum(1 for j in range(i + 1, len(images)) if images[j] < images[i])
+        for i in range(len(images))
+    )
+
+
+def _reduced_word_oracle(w):
+    """The smallest left descent i of w (i+1 left of i), then s_i * w, one
+    letter at a time, each step a product of Permutations."""
+    word = []
+    cur = w.trimmed()
+    while cur.key:
+        inv = cur.inverse().images
+        i = next(i for i in range(1, len(inv)) if inv[i - 1] > inv[i])
+        word.append(i)
+        cur = (Permutation.simple(i) * cur).trimmed()
+    return tuple(word)
+
+
+def _from_word_oracle(letters, n=None):
+    """s_{i1} * ... * s_{il} as a product of Permutations."""
+    if n is None:
+        n = max(letters, default=0) + 1
+    acc = Permutation.identity(max(n, 1))
+    for i in letters:
+        acc = acc * Permutation.simple(i, n)
+    return acc
+
+
+def _bruhat_rank_oracle(x, y):
+    """Bruhat order by the rank-matrix criterion: x <= y iff
+    |{a <= i : x(a) <= j}| >= |{a <= i : y(a) <= j}| for all i, j."""
+    n = max(x.degree, y.degree)
+    xi, yi = x.embedded(n).images, y.embedded(n).images
+    return all(
+        sum(v <= j for v in xi[:i]) >= sum(v <= j for v in yi[:i])
+        for i in range(1, n)
+        for j in range(1, n)
+    )
+
+
+def _check_statistics_against_oracles(w, rng):
+    code = w.code()
+    assert code == _code_oracle(w)
+    assert w.length() == sum(code) == brute_inversions(w.images)
+    word = w.reduced_word()
+    assert word == _reduced_word_oracle(w)
+    assert len(word) == w.length()
+    for n in (None, w.degree + 2):
+        assert Permutation.from_word(word, n).images == _from_word_oracle(word, n).images
+    # a word that need not be reduced
+    letters = [rng.randrange(1, w.degree + 1) for _ in range(rng.randrange(8))]
+    assert Permutation.from_word(letters).images == _from_word_oracle(letters).images
+
+
+def test_statistics_match_their_oracles_on_every_permutation_up_to_s6():
+    rng = random.Random(11)
+    for n in range(1, 7):
+        for w in symmetric_group(n):
+            _check_statistics_against_oracles(w, rng)
+
+
+def test_statistics_match_their_oracles_on_random_permutations_up_to_degree_60():
+    rng = random.Random(12)
+    for n in (7, 9, 15, 30, 45, 60):
+        for _ in range(6):
+            _check_statistics_against_oracles(Permutation(rng.sample(range(1, n + 1), n)), rng)
+    # identity runs, shuffled blocks and swapped block ends put cuts everywhere
+    for n in [5, 12, 33, 60] * 5:
+        _check_statistics_against_oracles(Permutation(blocks_permutation(rng, n)), rng)
+    for j, k in ((1, 60), (30, 31), (59, 60)):
+        _check_statistics_against_oracles(Permutation.transposition(j, k, 60), rng)
+
+
+def test_from_word_rejects_the_letters_0_and_n():
+    for n in (1, 2, 4):
+        with pytest.raises(ValueError, match=r"^simple reflection index must be >= 1: 0$"):
+            Permutation.from_word((1, 0) if n > 1 else (0,), n)
+        with pytest.raises(ValueError, match=rf"^bad transposition \({n},{n + 1}\) in S_{n}$"):
+            Permutation.from_word((n,), n)
+    assert Permutation.from_word((), 0) == Permutation.identity(1)
+
+
+def test_bruhat_leq_matches_the_rank_matrix_oracle():
+    perms = list(symmetric_group(5))
+    pairs = [(x, y) for x in perms for y in perms]
+    assert len(pairs) == 14400
+    rng = random.Random(13)
+    pairs += [
+        (Permutation(rng.sample(range(1, 9), 8)), Permutation(rng.sample(range(1, 9), 8)))
+        for _ in range(2000)
+    ]
+    outcomes = set()
+    for x, y in pairs:
+        leq = bruhat_leq(x, y)
+        assert leq == _bruhat_rank_oracle(x, y), (x, y)
+        outcomes.add(leq)
+    assert outcomes == {True, False}
+    # mixed degrees: x is read in S_7
+    assert bruhat_leq(Permutation((2, 1)), Permutation((1, 2, 3, 4, 5, 7, 6))) is False
+    assert bruhat_leq(Permutation((2, 1)), Permutation((3, 1, 2, 4, 5, 6, 7))) is True
+
+
 def test_all_reduced_words_of_longest_s3():
     words = set(Permutation.longest(3).all_reduced_words())
     assert words == {(1, 2, 1), (2, 1, 2)}

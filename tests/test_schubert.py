@@ -377,7 +377,13 @@ def test_divisor_product_scan_rejects_what_monk_product_rejects():
         with pytest.raises(ValueError) as scan:
             divisor_product_scan(clans, max_m)
         assert str(scan.value) == str(monk.value) == "s_5 does not lie in S_5"
-    assert divisor_product_scan(clans, 0) == ([], 0)
+    # below 1: -3 once returned a negative product count, and 0 a vacuous scan
+    for max_m in (0, -3):
+        with pytest.raises(ValueError) as monk:
+            monk_product(max_m, brion_class(clans[0]), n=5)
+        with pytest.raises(ValueError) as scan:
+            divisor_product_scan(clans, max_m)
+        assert str(scan.value) == str(monk.value) == f"Monk factor must be S_{{s_m}} with m >= 1: {max_m}"
 
 
 def test_divisor_product_scan_reports_the_largest_coefficient_in_scan_order(monkeypatch):
