@@ -142,23 +142,27 @@ def parse_clan(text: str, p: int | None = None, q: int | None = None) -> Clan:
     """
     text = text.strip()
     tokens = text.split() if any(ch.isspace() for ch in text) else list(text)
+    return _clan_from_tokens(tokens, p, q, text)
+
+
+def _clan_from_tokens(tokens: list, p: int | None, q: int | None, shown) -> Clan:
+    """Clan text and clan JSON both end here: each token is ``+``, ``-`` or a
+    decimal label (``str.isdecimal``) above 0; ``shown`` is quoted in errors."""
     if p is not None and q is not None and len(tokens) != p + q:
-        raise ValueError(
-            f"clan {text!r} has {len(tokens)} symbols, expected n = p+q = {p + q}"
-        )
+        raise ValueError(f"clan {shown!r} has {len(tokens)} symbols, expected n = p+q = {p + q}")
     symbols: list = []
     for tok in tokens:
         if tok in (PLUS, MINUS):
             symbols.append(tok)
-        elif tok.isdigit() and int(tok) > 0:
+        elif isinstance(tok, str) and tok.isdecimal() and int(tok) > 0:
             symbols.append(int(tok))
         else:
-            raise ValueError(f"bad clan symbol {tok!r} in {text!r}")
+            raise ValueError(f"bad clan symbol {tok!r} in {shown!r}")
     clan = Clan(symbols)
     # each bound that is given must match
     if (clan.p if p is None else p, clan.q if q is None else q) != (clan.p, clan.q):
         expected = f"q={q}" if p is None else f"p={p}" if q is None else f"({p},{q}); the sign balance must equal p-q"
-        raise ValueError(f"clan {text!r} has signature (p,q)=({clan.p},{clan.q}), expected {expected}")
+        raise ValueError(f"clan {shown!r} has signature (p,q)=({clan.p},{clan.q}), expected {expected}")
     return clan
 
 
@@ -371,16 +375,11 @@ def clan_to_json(clan: Clan) -> dict:
 
 
 def clan_from_json(data: dict | str) -> Clan:
+    """``clan_to_json``'s object, or its JSON text: integer ``p`` and ``q``
+    and a list of ``symbols``, read by the rules for clan tokens."""
     if isinstance(data, str):
         data = json.loads(data)
-    symbols = []
-    for tok in data["symbols"]:
-        symbols.append(tok if tok in (PLUS, MINUS) else int(tok))
-    clan = Clan(symbols)
-    if (clan.p, clan.q) != (data["p"], data["q"]):
-        raise ValueError(
-            f"JSON signature ({data['p']},{data['q']}) does not match "
-            f"symbols with ({clan.p},{clan.q})"
-        )
-    return clan
-
+    if not (isinstance(data, dict) and type(data.get("p")) is int and type(data.get("q")) is int
+            and isinstance(data.get("symbols"), list)):
+        raise ValueError(f"clan JSON needs integer p and q and a list of symbols: {data!r}")
+    return _clan_from_tokens(data["symbols"], data["p"], data["q"], data["symbols"])

@@ -76,8 +76,8 @@ def _compact(w: Permutation, n: int) -> str:
 def _clan_argument(text: str, p: int | None, q: int | None) -> Clan:
     """Dual parse: a one-line permutation of length q names gamma_w."""
     stripped = text.strip()
-    if stripped and all(ch.isdigit() and ch != "0" for ch in stripped):
-        letters = tuple(int(ch) for ch in stripped)
+    if stripped.isdecimal():
+        letters = tuple(map(int, stripped))
         if sorted(letters) == list(range(1, len(letters) + 1)):
             if q is not None and len(letters) != q:
                 raise ValueError(f"permutation {stripped!r} has length {len(letters)}, expected q={q}")

@@ -122,18 +122,17 @@ def _x_image(vector: tuple[int, ...], p: int) -> tuple[int, ...]:
 def _least_vector(vectors, p: int) -> tuple[int, ...]:
     """The least Hessenberg vector of the flag spanned by a basis.
 
-    Entry i is the least j >= i with x V_i <= V_j, that is with
-    rank(V_j + x V_i) = j.  Since x V_i grows with i, the search for i
-    starts at the answer for i - 1, and j = n needs no test: each rank
-    call either moves j up or settles one i, so there are fewer than 2n.
+    Entry i is the least j >= i with x V_i <= V_j.  Since x V_i grows with
+    i, the search for i starts at the answer for i - 1, where V_j already
+    holds x v_1, ..., x v_{i-1}; so the test is rank(V_j + x v_i) = j.  j = n
+    needs no test: each rank call moves j up or settles one i (fewer than 2n).
     """
     n = len(vectors)
-    x_vectors = [_x_image(v, p) for v in vectors]
     least: list[int] = []
     j = 0
-    for i in range(1, n + 1):
+    for i, x_v in enumerate((_x_image(v, p) for v in vectors), 1):
         j = max(j, i)
-        while j < n and integer_rank((*vectors[:j], *x_vectors[:i])) != j:
+        while j < n and integer_rank((*vectors[:j], x_v)) != j:
             j += 1
         least.append(j)
     return tuple(least)

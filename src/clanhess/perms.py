@@ -135,7 +135,7 @@ class Permutation:
         remaining = list(range(1, n + 1))
         images = []
         for c in code:
-            if c >= len(remaining):
+            if not 0 <= c < len(remaining):
                 raise ValueError(f"invalid Lehmer code: {tuple(code)!r}")
             images.append(remaining.pop(c))
         return cls(tuple(images))
@@ -399,13 +399,14 @@ def parse_permutation(text: str) -> Permutation:
     if text.startswith("[") and text.endswith("]"):
         body = text[1:-1].strip()
         parts = [s.strip() for s in body.split(",")] if body else []
-        try:
-            return Permutation(tuple(int(s) for s in parts))
-        except ValueError as exc:
-            raise ValueError(f"bad permutation {text!r}: {exc}") from None
-    if text and all(ch.isdigit() and ch != "0" for ch in text):
-        return Permutation(tuple(int(ch) for ch in text))
-    raise ValueError(f"bad permutation {text!r}: expected [3,2,1] or compact digits")
+    else:
+        parts = list(text) or [text]  # "" is no compact permutation
+    if not all(map(str.isdecimal, parts)):
+        raise ValueError(f"bad permutation {text!r}: expected [3,2,1] or compact digits")
+    try:
+        return Permutation(tuple(map(int, parts)))
+    except ValueError as exc:
+        raise ValueError(f"bad permutation {text!r}: {exc}") from None
 
 
 def render_permutation(w: Permutation, n: int | None = None) -> str:

@@ -178,6 +178,7 @@ def build_graph(p: int, q: int, interval_only: bool = False) -> WeakOrderGraph:
 W_SET_MAX_N = 254
 # _SWAP[i] is the bytes.translate table that swaps the values i and i+1
 _SWAP = [bytes.maketrans(bytes((i, i + 1)), bytes((i + 1, i))) for i in range(W_SET_MAX_N)]
+_SPLIT: dict = {}  # n -> findall of a blob's n-byte words; re.S, or "." would skip the byte 10
 
 
 def w_set(clan: Clan, _cache: dict | None = None) -> frozenset[Permutation]:
@@ -205,8 +206,7 @@ def w_set(clan: Clan, _cache: dict | None = None) -> frozenset[Permutation]:
         raise ValueError(f"w_set supports p + q <= {W_SET_MAX_N}, got p + q = {n}")
     cache: dict = _cache if _cache is not None else {}
     table = cache.setdefault(None, {})
-    # re.S, or "." would skip the byte 10 and drop every word holding it at n >= 10
-    split = re.compile(b".{%d}" % n, re.S).findall
+    split = _SPLIT.get(n) or _SPLIT.setdefault(n, re.compile(b".{%d}" % n, re.S).findall)
 
     def rec(symbols: tuple) -> bytes:
         got = cache.get(symbols)

@@ -325,8 +325,33 @@ def test_json_round_trips():
     for text, p, q in [("+1+-2+21", 5, 3), ("11", 1, 1), ("1-1+", 2, 2)]:
         c = parse_clan(text, p, q)
         assert clan_from_json(clan_to_json(c)) == c
-    with pytest.raises(ValueError, match="does not match"):
+    with pytest.raises(ValueError, match=r"has 2 symbols, expected n = p\+q = 3$"):
         clan_from_json({"p": 2, "q": 1, "symbols": ["+", "-"]})
+    with pytest.raises(ValueError, match=r"signature \(p,q\)=\(3,1\), expected \(2,2\)"):
+        clan_from_json({"p": 2, "q": 2, "symbols": ["+", "+", "-", "+"]})
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        # symbols that clan text rejects, in an object of the right shape
+        ({"p": 1, "q": 1, "symbols": ["0", "0"]}, "bad clan symbol '0'"),
+        ({"p": 1, "q": 1, "symbols": ["-5", "-5"]}, "bad clan symbol '-5'"),
+        ({"p": 1, "q": 1, "symbols": [1, 1]}, "bad clan symbol 1 "),
+        ({"p": 1, "q": 1, "symbols": ["²", "²"]}, "bad clan symbol '²'"),
+        ({"p": 1, "q": 1, "symbols": "11"}, "needs integer p and q and a list of symbols"),
+        # values that are no clan object
+        ({"q": 1, "symbols": ["1", "1"]}, "needs integer p and q"),
+        ({"p": True, "q": 1, "symbols": ["1", "1"]}, "needs integer p and q"),
+        ([], "needs integer p and q"),
+        (None, "needs integer p and q"),
+        ("null", "needs integer p and q"),
+        ('{"p": 1, "q": 1, "symbols": ["1", "x"]}', "bad clan symbol 'x'"),
+    ],
+)
+def test_clan_json_is_read_by_the_rules_for_clan_text(data, message):
+    with pytest.raises(ValueError, match=message):
+        clan_from_json(data)
 
 
 def test_render_token_form_for_large_labels():

@@ -141,6 +141,21 @@ def test_hess_report_names_an_unreadable_vector(vector, capsys):
     assert err == f"clanhess: error: bad Hessenberg vector {vector!r}: expected 1,3,4,4 or compact digits\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["clans", "stats", "²"], "bad clan symbol '²' in '²'"),
+        (["wset", "--p", "2", "²1"], "bad clan symbol '²' in '²1'"),
+        (["wset-bijection", "--p", "2", "²1"], "bad permutation '²1'"),
+    ],
+)
+def test_numbers_are_decimal_digits(argv, message, capsys):
+    # "²".isdigit() is true, but int("²") raises
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"clanhess: error: {message}")
+
+
 def test_hess_dim(capsys):
     status, lines = run(capsys, "hess", "dim", "213", "--p", "3")
     assert status == 0

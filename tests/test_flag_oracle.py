@@ -39,6 +39,21 @@ def membership_oracle(vectors, p, m, ranks):
     return True
 
 
+def least_vector_all_rows(vectors, p):
+    """The least-vector search that ranks V_j + x V_i with all i rows of
+    x V_i, where ``_least_vector`` ranks V_j + x v_i alone."""
+    n = len(vectors)
+    x_vectors = [_x_image(v, p) for v in vectors]
+    least = []
+    j = 0
+    for i in range(1, n + 1):
+        j = max(j, i)
+        while j < n and integer_rank((*vectors[:j], *x_vectors[:i])) != j:
+            j += 1
+        least.append(j)
+    return tuple(least)
+
+
 def arc_closure(clan):
     """The least Hessenberg vector whose variety holds the orbit closure:
     entry i is max(i, j over the arcs (i, j)), made nondecreasing."""
@@ -158,6 +173,13 @@ def test_least_vector_is_the_arc_closure():
     for p, q in shapes(8):
         for clan in enumerate_clans(p, q):
             assert least_hessenberg_vector(clan) == arc_closure(clan)
+
+
+def test_least_vector_matches_the_all_rows_search():
+    for p, q in shapes(7):
+        for clan in enumerate_clans(p, q):
+            basis = flag_representative(clan)
+            assert _least_vector(basis, p) == least_vector_all_rows(basis, p), clan
 
 
 def test_least_vector_tests_each_rank_once(monkeypatch):

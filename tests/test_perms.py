@@ -5,6 +5,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 
 import pytest
 
@@ -167,6 +168,13 @@ def test_embedding_preserves_length_and_code_prefix():
         assert big.code() == w.code() + (0, 0, 0)
         assert big == w
         assert hash(big) == hash(w)
+
+
+def test_from_code_rejects_negative_entries():
+    # list.pop(c) with c < 0 would read from the end of the remaining values
+    for code in [(0, -1), (-2, 0), (-1,), (1, -1, 0)]:
+        with pytest.raises(ValueError, match="invalid Lehmer code"):
+            Permutation.from_code(code)
 
 
 def test_code_and_from_code_are_inverse():
@@ -471,6 +479,12 @@ def test_parse_render_round_trip():
         parse_permutation("10")  # compact digits cannot contain 0
     with pytest.raises(ValueError):
         parse_permutation("abc")
+
+
+@pytest.mark.parametrize("text", ["[+2,1]", "[1_0,1,2,3,4,5,6,7,8,9]", "²1", "[2,²]", "[1,,2]", "[2, 1.0]", ""])
+def test_parse_permutation_reads_decimal_digits_only(text):
+    with pytest.raises(ValueError, match=re.escape(f"bad permutation {text!r}")):
+        parse_permutation(text)
 
 
 def test_render_word():

@@ -34,11 +34,12 @@ from clanhess.flag_oracle import (  # noqa: E402
     least_hessenberg_vector,
     random_k_element,
 )
-from clanhess.perms import Permutation  # noqa: E402
+from clanhess.perms import Permutation, parse_permutation, render_permutation  # noqa: E402
 from clanhess.poset import InclusionPoset  # noqa: E402
 from clanhess.schubert import SchubertExpansion, monk_product, product_oracle  # noqa: E402
 from clanhess.weak_order import _SWAP, covers_from, w_set  # noqa: E402
 from test_fast_path import assert_matches_validated_build  # noqa: E402
+from test_flag_oracle import least_vector_all_rows  # noqa: E402
 from test_schubert import monk_oracle  # noqa: E402
 from test_weak_order import w_set_oracle  # noqa: E402
 
@@ -258,6 +259,7 @@ def test_least_vector_is_k_invariant(clan, seed):
         for v in flag_representative(clan)
     ]
     assert _least_vector(moved, clan.p) == least_hessenberg_vector(clan)
+    assert least_vector_all_rows(moved, clan.p) == least_hessenberg_vector(clan)
 
 
 @st.composite
@@ -280,12 +282,59 @@ def random_clans(draw, max_total):
 
 
 @FIXED
-@given(random_clans(12))
+@given(random_clans(24))
 @example(Clan([*range(1, 11), PLUS, *range(10, 0, -1)]))  # labels >= 10: token form
 def test_clan_text_and_json_round_trip(clan):
     assert parse_clan(render_clan(clan), clan.p, clan.q) == clan
     assert parse_clan(render_clan(clan)) == clan
+    assert clan_from_json(clan_to_json(clan)) == clan
     assert clan_from_json(json.dumps(clan_to_json(clan))) == clan
+
+
+@FIXED
+@given(permutations(30))
+def test_permutation_text_round_trip(w):
+    assert parse_permutation(render_permutation(w)) == w
+    if 1 <= w.degree <= 9:
+        assert parse_permutation("".join(map(str, w.images))) == w
+
+
+# text near the grammar (signs, brackets, commas, digits and non-decimal
+# digit characters such as "²", "٣" and "_"), and any text at all
+PARSER_TEXT = st.text(st.sampled_from("+-0123456789²٣_[], x"), max_size=12) | st.text(max_size=12)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(st.sampled_from("+-0129²x "), max_size=3),
+    lambda children: st.lists(children, max_size=6)
+    | st.dictionaries(st.sampled_from(["p", "q", "symbols", "x"]), children, max_size=4),
+    max_leaves=12,
+)
+CLAN_OBJECTS = st.fixed_dictionaries({
+    "p": st.integers(-1, 6) | JSON_VALUES,
+    "q": st.integers(-1, 6) | JSON_VALUES,
+    "symbols": st.lists(st.sampled_from(["+", "-", "1", "2", "10", "0", "-1", "²", 1, None, []]), max_size=8)
+    | JSON_VALUES,
+})
+
+
+@FIXED
+@given(PARSER_TEXT, st.none() | st.integers(-1, 8), st.none() | st.integers(-1, 8))
+def test_text_parsers_raise_only_value_error(text, p, q):
+    for parse in (lambda: parse_clan(text, p, q), lambda: parse_permutation(text), lambda: clan_from_json(text)):
+        try:
+            parse()
+        except ValueError:
+            pass
+
+
+@FIXED
+@given(CLAN_OBJECTS | JSON_VALUES)
+def test_clan_from_json_raises_only_value_error(data):
+    for value in (data, json.dumps(data)):
+        try:
+            clan_from_json(value)
+        except ValueError:
+            pass
 
 
 @FIXED
