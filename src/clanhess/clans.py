@@ -378,7 +378,10 @@ def clan_from_json(data: dict | str) -> Clan:
     """``clan_to_json``'s object, or its JSON text: integer ``p`` and ``q``
     and a list of ``symbols``, read by the rules for clan tokens."""
     if isinstance(data, str):
-        data = json.loads(data)
+        try:
+            data = json.loads(data)
+        except RecursionError:
+            raise ValueError(f"clan JSON nested too deeply: {data[:20]!r}...") from None
     if not (isinstance(data, dict) and type(data.get("p")) is int and type(data.get("q")) is int
             and isinstance(data.get("symbols"), list)):
         raise ValueError(f"clan JSON needs integer p and q and a list of symbols: {data!r}")

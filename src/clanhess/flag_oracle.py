@@ -3,7 +3,7 @@
 Each clan names a K-orbit of flags; the functions here build the standard
 integer basis v_1, ..., v_n of a representative flag and decide the
 defining condition x V_i <= V_{m_i} of a Hessenberg variety directly, by
-exact rank computations over the integers.  This is deliberately
+exact fraction-free elimination over the integers.  This is deliberately
 independent of the combinatorial pair criterion so the two can be checked
 against each other.
 
@@ -11,8 +11,9 @@ Both sides of the condition grow with i and with m_i, so a flag has a
 least Hessenberg vector: the least nondecreasing m with m_i >= i and
 x V_i <= V_{m_i} for every i.  The flag lies in Hess(x, m) exactly when
 that vector is <= m in every coordinate.  :func:`least_hessenberg_vector`
-finds it with fewer than 2n rank computations, and every membership question
-about the flag is then a coordinatewise comparison.
+finds it from one echelon basis of the flag, grown one vector at a time,
+and every membership question about the flag is then a coordinatewise
+comparison.
 
 The representative follows the usual recipe.  Writing the clan as c_1 ... c_n
 with p >= q and x = diag(0^p, 1^q):
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from math import gcd
 
 from .clans import PLUS, Clan
 from .hessenberg import _hessenberg_vector
@@ -84,6 +86,10 @@ def flag_representative(clan: Clan) -> tuple[tuple[int, ...], ...]:
 def integer_rank(rows) -> int:
     """Rank of an integer matrix by fraction-free (Bareiss) elimination.
 
+    The named oracle of the geometric layer: the least-vector search ran one
+    rank call per test, and the tests keep that search as the reference for
+    the incremental echelon basis of :func:`_least_vector`.
+
     >>> integer_rank([(1, 2), (2, 4), (0, 1)])
     2
     """
@@ -119,21 +125,62 @@ def _x_image(vector: tuple[int, ...], p: int) -> tuple[int, ...]:
     return (0,) * p + vector[p:]
 
 
+def _reduce(v, rows):
+    """v reduced against echelon rows (pivot column, row) in order, fraction-free,
+    then divided by its content: b v - a row clears v at each pivot."""
+    for c, row in rows:
+        a = v[c]
+        if a:
+            b = row[c]
+            v = [b * s - a * t for s, t in zip(v, row)]
+    g = gcd(*v)
+    return [s // g for s in v] if g > 1 else v
+
+
 def _least_vector(vectors, p: int) -> tuple[int, ...]:
     """The least Hessenberg vector of the flag spanned by a basis.
 
     Entry i is the least j >= i with x V_i <= V_j.  Since x V_i grows with
-    i, the search for i starts at the answer for i - 1, where V_j already
-    holds x v_1, ..., x v_{i-1}; so the test is rank(V_j + x v_i) = j.  j = n
-    needs no test: each rank call moves j up or settles one i (fewer than 2n).
+    i, the search for i starts at j = max(i, entry i - 1); there V_j already
+    holds x v_1, ..., x v_{i-1}, because x V_{i-1} <= V_{entry i - 1} <= V_j.
+    So the test is whether x v_i lies in V_j.  j = n needs no test.
+
+    V_j is held as a fraction-free echelon basis, grown one v_j at a time:
+    each pushed row is reduced against the earlier rows, so it is zero at
+    every earlier pivot, and takes its first nonzero column as its pivot.
+    Reducing x v_i against the rows in order clears each pivot in turn and
+    keeps the pivots cleared before it, since each later row is zero there.
+    A zero residual means x v_i lies in V_j, as the residual is a nonzero
+    multiple of x v_i minus a vector of V_j.  A nonzero one means it does
+    not: a nonzero combination of the rows is nonzero at the pivot of its
+    first row with a nonzero coefficient, where the residual is zero.  When
+    the test fails, v_{j+1} is pushed and the same residual is reduced
+    against the new row alone; it is still zero at the earlier pivots,
+    which the new row is too, so this is the full reduction against V_{j+1}.
+    Each row and residual is divided by its content (``math.gcd``), so the
+    entries stay exact integers and small.  A flag pushes fewer than n rows.
     """
     n = len(vectors)
+    rows: list[tuple[int, list[int]]] = []  # the echelon basis of V_j, as (pivot column, row)
+
+    def push() -> None:
+        row = _reduce(vectors[len(rows)], rows)
+        rows.append((next(c for c, a in enumerate(row) if a), row))
+
     least: list[int] = []
     j = 0
-    for i, x_v in enumerate((_x_image(v, p) for v in vectors), 1):
+    for i, v in enumerate(vectors, 1):
         j = max(j, i)
-        while j < n and integer_rank((*vectors[:j], x_v)) != j:
-            j += 1
+        if j < n:
+            while len(rows) < j:
+                push()
+            residual = _reduce(_x_image(v, p), rows)
+            while any(residual):
+                j += 1
+                if j == n:
+                    break
+                push()
+                residual = _reduce(residual, rows[-1:])
         least.append(j)
     return tuple(least)
 

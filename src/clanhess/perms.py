@@ -129,7 +129,10 @@ class Permutation:
         >>> Permutation.from_code((2,))
         Permutation((3, 1, 2))
         """
-        code = list(code)
+        try:
+            code = list(map(index, code))
+        except TypeError:
+            raise ValueError(f"invalid Lehmer code: {tuple(code)!r}") from None
         n = max([len(code)] + [c + i + 1 for i, c in enumerate(code)])
         code += [0] * (n - len(code))
         remaining = list(range(1, n + 1))

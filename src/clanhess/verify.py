@@ -43,7 +43,9 @@ from __future__ import annotations
 
 import random
 import time
+from functools import reduce
 from itertools import accumulate, product
+from operator import or_
 from typing import NamedTuple
 
 from .clans import (
@@ -480,7 +482,8 @@ def monk_checks() -> CheckResult:
 
 def _divided_difference_relations(problems: list[str]) -> int:
     """Nilpotence, braid, and commutation for the divided differences,
-    exhaustively on monomials of degree <= 6 in 4 variables."""
+    exhaustively on monomials of degree <= 6 in 4 variables; d_1 f, d_2 f
+    and d_3 f are computed once per monomial and shared by the relations."""
     checked = 0
     # each total repeats the lower degrees: 462 vectors over 210 monomials
     monomials = (
@@ -488,18 +491,19 @@ def _divided_difference_relations(problems: list[str]) -> int:
     )
     for exps in monomials:
         poly = IntPolynomial.monomial(exps)
+        d = {i: poly.divided_difference(i) for i in range(1, 4)}
         for i in range(1, 4):
             checked += 1
-            if not poly.divided_difference(i).divided_difference(i).is_zero:
+            if not d[i].divided_difference(i).is_zero:
                 problems.append(f"d_{i}^2 != 0 on x^{exps}")
         for i in range(1, 3):
             checked += 1
-            lhs = poly.divided_difference(i).divided_difference(i + 1).divided_difference(i)
-            rhs = poly.divided_difference(i + 1).divided_difference(i).divided_difference(i + 1)
+            lhs = d[i].divided_difference(i + 1).divided_difference(i)
+            rhs = d[i + 1].divided_difference(i).divided_difference(i + 1)
             if lhs != rhs:
                 problems.append(f"braid relation fails at i={i} on x^{exps}")
         checked += 1
-        if poly.divided_difference(1).divided_difference(3) != poly.divided_difference(3).divided_difference(1):
+        if d[1].divided_difference(3) != d[3].divided_difference(1):
             problems.append(f"commutation fails on x^{exps}")
     return checked
 
@@ -542,13 +546,21 @@ def structural_checks() -> CheckResult:
                 if set(cov.move_types) - set(MOVE_TYPES):
                     problems.append(f"unknown move type at {render_clan(cov.source)}")
         poset_nodes += len(clans)
-        for i, below in enumerate(down):
-            if not (below >> i) & 1:
-                problems.append(f"({p},{q}): inclusion not reflexive")
-            for j in members(below & ~(1 << i)):
-                if (down[j] >> i) & 1 or down[j] & ~below:
-                    problems.append(f"({p},{q}): inclusion not antisymmetric or not transitive at {i},{j}")
-                    break
+        # reflexive: i in its own row; transitive: the rows of the members of
+        # a row lie inside it; then antisymmetric: no two rows are equal
+        if not (
+            all((below >> i) & 1 and reduce(or_, map(down.__getitem__, members(below)), 0) == below
+                for i, below in enumerate(down))
+            and len(set(down)) == len(down)
+        ):
+            # the failing path: name each failing clan and the first pair at it
+            for i, below in enumerate(down):
+                if not (below >> i) & 1:
+                    problems.append(f"({p},{q}): inclusion not reflexive")
+                for j in members(below & ~(1 << i)):
+                    if (down[j] >> i) & 1 or down[j] & ~below:
+                        problems.append(f"({p},{q}): inclusion not antisymmetric or not transitive at {i},{j}")
+                        break
 
     relations = _divided_difference_relations(problems)
 

@@ -354,6 +354,12 @@ def test_clan_json_is_read_by_the_rules_for_clan_text(data, message):
         clan_from_json(data)
 
 
+def test_clan_json_nested_past_the_recursion_limit():
+    # json.loads raises RecursionError here; it is one more malformed value
+    with pytest.raises(ValueError, match="nested too deeply"):
+        clan_from_json("[" * 100000)
+
+
 def test_render_token_form_for_large_labels():
     # labels above 9 force the whitespace-separated form
     symbols = list(range(1, 11)) + list(range(1, 11))

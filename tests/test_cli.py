@@ -363,6 +363,33 @@ def test_verify_names_failing_permutations_of_criteria_3_7_8_in_full(monkeypatch
     )
 
 
+def test_criterion_8_names_a_pair_at_each_broken_order_axiom(monkeypatch):
+    # patched rows: at (1,1), 11 below +- as well as above it (antisymmetry);
+    # at (2,1), 1+1 no longer above ++-, though +11 below it is (transitivity)
+    patched = {(1, 1): {0: 0b101}, (2, 1): {4: 0b111110}}
+
+    class Patched(verify.InclusionPoset):
+        __slots__ = ()
+
+        @property
+        def down(self):
+            rows = list(super().down)
+            clan = self.clans[0]
+            for i, row in patched.get((clan.p, clan.q), {}).items():
+                rows[i] = row
+            return tuple(rows)
+
+    monkeypatch.setattr(verify, "InclusionPoset", Patched)
+    found = []
+    monkeypatch.setattr(verify, "_finish", lambda name, problems, detail, t0: found.extend(problems))
+    verify.structural_checks()
+    assert [line for line in found if "inclusion not" in line] == [
+        "(1,1): inclusion not antisymmetric or not transitive at 0,2",
+        "(1,1): inclusion not antisymmetric or not transitive at 2,0",
+        "(2,1): inclusion not antisymmetric or not transitive at 4,2",
+    ]
+
+
 def test_verify_subset_passes(capsys):
     status, lines = run(capsys, "verify", "wsets")
     assert status == 0

@@ -1,6 +1,7 @@
 """Geometric oracle: representative flags, exact ranks, invariance."""
 
 import random
+from math import gcd
 
 import pytest
 
@@ -39,9 +40,24 @@ def membership_oracle(vectors, p, m, ranks):
     return True
 
 
+def least_vector_rank_oracle(vectors, p):
+    """The least-vector search by one rank call per test: entry i starts at
+    max(entry i - 1, i), where V_j already holds x v_1, ..., x v_{i-1}, and
+    x v_i lies in V_j iff rank(V_j + x v_i) = j."""
+    n = len(vectors)
+    least = []
+    j = 0
+    for i, v in enumerate(vectors, 1):
+        j = max(j, i)
+        while j < n and integer_rank((*vectors[:j], _x_image(v, p))) != j:
+            j += 1
+        least.append(j)
+    return tuple(least)
+
+
 def least_vector_all_rows(vectors, p):
     """The least-vector search that ranks V_j + x V_i with all i rows of
-    x V_i, where ``_least_vector`` ranks V_j + x v_i alone."""
+    x V_i, where ``least_vector_rank_oracle`` ranks V_j + x v_i alone."""
     n = len(vectors)
     x_vectors = [_x_image(v, p) for v in vectors]
     least = []
@@ -182,27 +198,45 @@ def test_least_vector_matches_the_all_rows_search():
             assert _least_vector(basis, p) == least_vector_all_rows(basis, p), clan
 
 
-def test_least_vector_tests_each_rank_once(monkeypatch):
-    # entry i starts at max(entry i-1, i), every failed test moves up by
-    # one, and a search that reaches n stops without a test
+def test_least_vector_matches_the_rank_oracle():
+    for p, q in shapes(8):
+        for clan in enumerate_clans(p, q):
+            basis = flag_representative(clan)
+            assert _least_vector(basis, p) == least_vector_rank_oracle(basis, p), clan
+
+
+def test_least_vector_pushes_each_vector_once(monkeypatch):
+    # a flag pushes v_1, ..., v_{n-1} once each, v_k reduced against the k - 1
+    # rows before it; entry i's first test reduces x v_i against all j rows,
+    # and each later test reduces the same residual against the one row just
+    # pushed; every reduction comes out primitive (content 1) or zero
     calls = []
-    real_rank = flag_oracle.integer_rank
+    real_reduce = flag_oracle._reduce
 
-    def counted(rows):
-        calls.append(1)
-        return real_rank(rows)
+    def counted(v, rows):
+        calls.append(len(rows))
+        out = real_reduce(v, rows)
+        assert gcd(*out) <= 1
+        return out
 
-    monkeypatch.setattr(flag_oracle, "integer_rank", counted)
+    monkeypatch.setattr(flag_oracle, "_reduce", counted)
     for p, q in shapes(6):
         n = p + q
         for clan in enumerate_clans(p, q):
             calls.clear()
             least = _least_vector(flag_representative(clan), p)
-            expected, prev = 0, 0
+            expected, pushed, prev = [], 0, 0
             for i, j in enumerate(least, 1):
-                expected += j - max(prev, i) + (j < n)
+                start = max(prev, i)
+                if start < n:
+                    expected += range(pushed, start)
+                    expected.append(start)
+                    for k in range(start, min(j, n - 1)):
+                        expected += [k, 1]
+                    pushed = max(start, min(j, n - 1))
                 prev = j
-            assert len(calls) == expected < 2 * n
+            assert calls == expected, clan
+            assert pushed == n - 1
 
 
 def test_membership_validates_input():

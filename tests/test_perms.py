@@ -177,6 +177,13 @@ def test_from_code_rejects_negative_entries():
             Permutation.from_code(code)
 
 
+def test_from_code_rejects_non_integer_entries():
+    # entries are taken through operator.index, as Permutation(...) takes them
+    for code in [(1.0,), ("1",), (0, None)]:
+        with pytest.raises(ValueError, match="invalid Lehmer code"):
+            Permutation.from_code(code)
+
+
 def test_code_and_from_code_are_inverse():
     assert Permutation((3, 1, 2)).code() == (2, 0, 0)
     assert Permutation.identity(4).code() == (0, 0, 0, 0)

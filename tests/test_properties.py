@@ -39,7 +39,7 @@ from clanhess.poset import InclusionPoset  # noqa: E402
 from clanhess.schubert import SchubertExpansion, monk_product, product_oracle  # noqa: E402
 from clanhess.weak_order import _SWAP, covers_from, w_set  # noqa: E402
 from test_fast_path import assert_matches_validated_build  # noqa: E402
-from test_flag_oracle import least_vector_all_rows  # noqa: E402
+from test_flag_oracle import least_vector_all_rows, least_vector_rank_oracle  # noqa: E402
 from test_schubert import monk_oracle  # noqa: E402
 from test_weak_order import w_set_oracle  # noqa: E402
 
@@ -259,7 +259,39 @@ def test_least_vector_is_k_invariant(clan, seed):
         for v in flag_representative(clan)
     ]
     assert _least_vector(moved, clan.p) == least_hessenberg_vector(clan)
+    assert least_vector_rank_oracle(moved, clan.p) == least_hessenberg_vector(clan)
     assert least_vector_all_rows(moved, clan.p) == least_hessenberg_vector(clan)
+
+
+@st.composite
+def full_rank_bases(draw):
+    """A full-rank integer basis of Q^n, n <= 7, with entries up to about
+    10**20, and its p.  Half the draws mix a clan's representative flag by
+    a unitriangular change of basis, v_j + a combination of v_1, ...,
+    v_{j-1}, which keeps every V_j and so the clan's least vector; the rest
+    have every entry random, with p in 0..n, where the least vector is
+    mostly (n, ..., n)."""
+    big = st.integers(-(10**20), 10**20)
+    if draw(st.booleans()):
+        clan = draw(clans_up_to(7))
+        vectors = []
+        for v in flag_representative(clan):
+            for u in vectors:
+                scale = draw(st.sampled_from((0, 1, -1)) | big)
+                v = tuple(a + scale * b for a, b in zip(v, u))
+            vectors.append(v)
+        return vectors, clan.p
+    n = draw(st.integers(1, 7))
+    vectors = [tuple(draw(st.lists(big, min_size=n, max_size=n))) for _ in range(n)]
+    hypothesis.assume(integer_rank(vectors) == n)
+    return vectors, draw(st.integers(0, n))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(full_rank_bases())
+def test_least_vector_matches_the_rank_oracle_on_large_entries(basis):
+    vectors, p = basis
+    assert _least_vector(vectors, p) == least_vector_rank_oracle(vectors, p)
 
 
 @st.composite
