@@ -68,23 +68,22 @@ def _hessenberg_vector(m, n: int) -> tuple[int, ...]:
 def hessenberg_vectors(n: int):
     """Yield all Hessenberg vectors of length n in lexicographic order.
 
-    There are Catalan(n) of them.
+    There are Catalan(n) of them.  The walk starts at (1, 2, ..., n); each
+    successor adds one to the last entry m_i below n (m_n = n always) and
+    resets every later entry m_k to its least value, max(m_i, k).
 
     >>> list(hessenberg_vectors(3))
     [(1, 2, 3), (1, 3, 3), (2, 2, 3), (2, 3, 3), (3, 3, 3)]
     """
-    def rec(prefix: list[int]):
-        i = len(prefix)
-        if i == n:
-            yield tuple(prefix)
+    m = list(range(1, n + 1))
+    while n >= 0:
+        yield tuple(m)
+        i = m.index(n) - 1 if n else -1  # the entries equal to n are a suffix
+        if i < 0:
             return
-        lo = max(prefix[-1] if prefix else 1, i + 1)
-        for v in range(lo, n + 1):
-            prefix.append(v)
-            yield from rec(prefix)
-            prefix.pop()
-
-    yield from rec([])
+        m[i] += 1
+        for k in range(i + 1, n - 1):  # 0-indexed, so the least value is k + 1
+            m[k] = max(m[i], k + 1)
 
 
 def area(m) -> int:

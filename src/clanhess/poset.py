@@ -42,13 +42,24 @@ from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache, reduce
 from itertools import accumulate, compress
-from operator import and_, or_
+from operator import and_, index, or_
 
 from .clans import MINUS, PLUS, Clan, enumerate_clans
 
 __all__ = ["InclusionPoset", "inclusion_poset", "members"]
 
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _index(x) -> int | None:
+    """x through operator.index, or None for a bool or a non-integer, which
+    every caller refuses as ``hessenberg.is_hessenberg_vector`` does."""
+    if type(x) is bool:
+        return None
+    try:
+        return index(x)
+    except TypeError:
+        return None
 
 
 def _bits(mask: int) -> bytes:
@@ -66,7 +77,7 @@ def _bits(mask: int) -> bytes:
 
 
 def members(mask: int) -> list[int]:
-    """Indices of the set bits of a nonnegative mask, in increasing order.
+    """Indices of the set bits of a nonnegative int mask, in increasing order.
 
     ``InclusionPoset.select`` gives the clans themselves; this is for
     callers that need the indices.
@@ -74,9 +85,10 @@ def members(mask: int) -> list[int]:
     >>> members(0b10110)
     [1, 2, 4]
     """
-    if mask < 0:
-        raise ValueError(f"a mask must be nonnegative, got {mask}")
-    bits = _bits(mask)
+    value = _index(mask)
+    if value is None or value < 0:
+        raise ValueError(f"a mask must be nonnegative, got {mask!r}")
+    bits = _bits(value)
     return list(compress(range(len(bits)), bits))
 
 
@@ -233,30 +245,42 @@ class InclusionPoset:
         maximal in mask, as a bitmask; 0 for the empty mask.
 
         Precondition, checked: 0 <= mask <= full."""
-        self._check(mask)
+        mask = self._check(mask)
         # mask & cum[k] is 0 above the first union that meets mask, and >= 1 from it on
         return mask and mask & self._cum[bisect_left(self._cum, 1, key=mask.__and__)]
 
     def contained(self, m) -> int:
         """The bitmask of the clans whose arc ends are <= m componentwise:
         for a Hessenberg vector m, those whose orbit closure lies in its
-        Hessenberg variety.  The one check is that m has n entries, each in
-        0..n (else ValueError); ``hess_orbit_report`` checks the stricter
+        Hessenberg variety.  The one check is that m has n entries, each an
+        int in 0..n, read through operator.index and never a bool (else
+        ValueError); ``hess_orbit_report`` checks the stricter
         ``hessenberg.is_hessenberg_vector`` before it calls ``_contained``.
         """
         n = len(self._arc_ends)
-        if len(m) != n or min(m) < 0 or max(m) > n:
+        # _index's rule in one pass in C: criterion 2 calls this once per
+        # vector, and a Python call per entry cost about 1 us more each
+        try:
+            entries = tuple(m)
+            values = tuple(map(index, entries))
+        except TypeError:
+            entries = values = ()
+        # operator.index turns a bool into an int, so bools are refused by type
+        if len(values) != n or bool in map(type, entries) or min(values) < 0 or max(values) > n:
             raise ValueError(f"need a vector of {n} entries in 0..{n}, got {m!r}")
-        return self._contained(m)
+        return self._contained(values)
 
     def _contained(self, m) -> int:
         # contained(m) for an m that the caller has validated
         return _below(self._arc_ends, m, self.full)
 
-    def _check(self, mask: int) -> None:
-        if not 0 <= mask <= self.full:
+    def _check(self, mask: int) -> int:
+        # mask as an int, if it is one (not a bool) in 0..full
+        value = _index(mask)
+        if value is None or not 0 <= value <= self.full:
             size = len(self.clans)
             raise ValueError(f"mask outside this family of {size} clans: need 0 <= mask < 2**{size}")
+        return value
 
     def select(self, mask: int) -> tuple[Clan, ...]:
         """The clans in mask, in increasing order of index.
@@ -268,8 +292,7 @@ class InclusionPoset:
         >>> [str(c) for c in inclusion_poset(1, 1).select(0b101)]
         ['+-', '11']
         """
-        self._check(mask)
-        return tuple(compress(self.clans, _bits(mask)))
+        return tuple(compress(self.clans, _bits(self._check(mask))))
 
     def maximal(self, mask: int) -> list[int]:
         """The maximal elements of the set of clans in mask, in increasing
@@ -277,8 +300,7 @@ class InclusionPoset:
         reaches it is maximal; keeping it clears its down-set.
 
         Precondition, checked: 0 <= mask <= full."""
-        self._check(mask)
-        return sorted(self._maximal_in(mask, self._layers))
+        return sorted(self._maximal_in(self._check(mask), self._layers))
 
     def _maximal_in(self, mask: int, layers) -> list[int]:
         # the walk of ``maximal`` over the given layers, which must hold every clan in mask

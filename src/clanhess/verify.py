@@ -367,10 +367,12 @@ def oracle_checks(max_total: int = ORACLE_MAX_TOTAL, seed: int = 0) -> CheckResu
     rng = random.Random(seed)
     agreements = 0
     spotchecks = 0
-    for p, q in _shapes(max_total):
+    vectors: list[tuple[int, ...]] = []
+    for p, q in _shapes(max_total):  # by p + q, so one list of vectors per length
         n = p + q
         clans = enumerate_clans(p, q)
-        vectors = list(hessenberg_vectors(n))
+        if not vectors or len(vectors[0]) != n:
+            vectors = list(hessenberg_vectors(n))
         _, ends = _key_columns(clans, n, q)
         for clan, r in zip(clans, zip(*ends)):
             h = tuple(accumulate(map(max, range(1, n + 1), r), max))

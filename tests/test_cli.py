@@ -11,13 +11,16 @@ from clanhess.clans import (
     as_interval_permutation,
     clan_from_json,
     enumerate_clans,
+    gamma_w,
     interval_clans,
     parse_clan,
     render_clan,
 )
-from clanhess.perms import parse_permutation
+from clanhess.hessenberg import area, classify_irreducibles, m_of_w
+from clanhess.perms import Permutation, parse_permutation
 from clanhess.poset import InclusionPoset
 from clanhess.schubert import SchubertExpansion, brion_class
+from clanhess.weak_order import factorization_bijection, w_set
 from test_poset import _inclusion_hasse
 
 
@@ -74,6 +77,35 @@ def test_wset_permutation_needs_p(capsys):
     assert status == 1
 
 
+def test_wset_permutation_of_the_wrong_length_is_named(capsys):
+    assert main(["wset", "--p", "3", "--q", "3", "12"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "clanhess: error: permutation '12' has length 2, expected q=3\n"
+
+
+def test_wset_json_is_the_w_set(capsys):
+    status, lines = run(capsys, "wset", "--p", "3", "--q", "3", "132", "--format", "json")
+    assert status == 0
+    rows = json.loads(lines[0])
+    elements = [Permutation(tuple(row["one_line"])) for row in rows]
+    assert set(elements) == w_set(gamma_w(parse_permutation("132"), 3))
+    assert len(elements) == len(rows)
+    assert [row["word"] for row in rows] == [list(x.reduced_word()) for x in elements]
+
+
+def test_wset_bijection_json_is_the_factorization_bijection(capsys):
+    status, lines = run(capsys, "wset-bijection", "213", "--p", "3", "--format", "json")
+    assert status == 0
+    rows = json.loads(lines[0])
+    got = {
+        (Permutation(tuple(row["u"])), Permutation(tuple(row["v"]))): Permutation(tuple(row["element"]))
+        for row in rows
+    }
+    assert got == factorization_bijection(parse_permutation("213"), 3)
+    assert len(got) == len(rows)
+    assert [row["word"] for row in rows] == [list(Permutation(tuple(row["element"])).reduced_word()) for row in rows]
+
+
 def test_wset_bijection_rows(capsys):
     status, lines = run(capsys, "wset-bijection", "213", "--p", "3")
     assert status == 0
@@ -112,10 +144,24 @@ def test_class_render(capsys):
     assert lines == ["1 * S[2,3,1] + 1 * S[3,1,2]"]
 
 
+def test_class_json_is_the_brion_class(capsys):
+    status, lines = run(capsys, "class", "--p", "2", "--q", "2", "1+-1", "--format", "json")
+    assert status == 0
+    assert json.loads(lines[0]) == brion_class(parse_clan("1+-1")).to_json()
+
+
 def test_hess_classify_2_2(capsys):
     status, lines = run(capsys, "hess", "classify", "--p", "2", "--q", "2")
     assert status == 0
     assert lines == ["12 -> 3,4,4,4", "21 -> 4,4,4,4"]
+
+
+def test_hess_classify_json_is_the_classification(capsys):
+    status, lines = run(capsys, "hess", "classify", "--p", "3", "--q", "3", "--format", "json")
+    assert status == 0
+    got = {parse_permutation(w): tuple(m) for w, m in json.loads(lines[0]).items()}
+    assert got == classify_irreducibles(3, 3)
+    assert len(got) == 5
 
 
 def test_hess_report_text_and_json(capsys):
@@ -126,6 +172,15 @@ def test_hess_report_text_and_json(capsys):
     assert status == 0
     data = json.loads(lines[0])
     assert data["irreducible"] and data["witness"] == "[1,2]"
+
+
+def test_hess_report_text_names_the_witness_and_dimension(capsys):
+    w = parse_permutation("132")
+    m = m_of_w(w, 3)
+    status, lines = run(capsys, "hess", "report", "--p", "3", "--q", "3", ",".join(map(str, m)))
+    assert status == 0
+    assert "irreducible: yes" in lines
+    assert lines[-2:] == ["witness: 132", f"dimension: {area(m)}"]
 
 
 def test_hess_report_rejects_bad_vector(capsys):

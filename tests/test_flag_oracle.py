@@ -298,3 +298,20 @@ def test_criterion_4_names_each_disagreeing_clan(monkeypatch):
     result = verify.oracle_checks(max_total=4)
     assert not result.passed
     assert result.detail == "1+-1: least vector (4, 4, 4, 4), arc closure (3, 3, 3, 4)"
+
+
+def test_criterion_4_lists_the_vectors_once_per_length(monkeypatch):
+    # the shapes come by p + q, so the shapes of one length share one list
+    from clanhess import verify
+
+    lengths = []
+
+    def counted(n):
+        lengths.append(n)
+        return hessenberg_vectors(n)
+
+    expected = verify.oracle_checks(max_total=6, seed=3)
+    monkeypatch.setattr(verify, "hessenberg_vectors", counted)
+    result = verify.oracle_checks(max_total=6, seed=3)
+    assert lengths == [2, 3, 4, 5, 6]
+    assert result.passed and result.detail == expected.detail

@@ -53,6 +53,31 @@ def test_bool_entries_are_not_hessenberg_vectors():
             call()
 
 
+def hessenberg_vectors_oracle(n):
+    """The named oracle of ``hessenberg_vectors``: the recursive walk that
+    extends a nondecreasing prefix by each value from max(last entry, i + 1)
+    to n, in increasing order, so the vectors come out lexicographically."""
+
+    def rec(prefix):
+        i = len(prefix)
+        if i == n:
+            yield tuple(prefix)
+            return
+        lo = max(prefix[-1] if prefix else 1, i + 1)
+        for v in range(lo, n + 1):
+            prefix.append(v)
+            yield from rec(prefix)
+            prefix.pop()
+
+    yield from rec([])
+
+
+@pytest.mark.parametrize("n", range(-1, 13))
+def test_successor_walk_equals_the_recursive_oracle(n):
+    # n = 12: all 208,012 vectors, the length of criterion 2 at --max-n 12
+    assert list(hessenberg_vectors(n)) == list(hessenberg_vectors_oracle(n))
+
+
 def test_hessenberg_vector_counts_are_catalan():
     for n in range(1, 8):
         assert sum(1 for _ in hessenberg_vectors(n)) == catalan(n)

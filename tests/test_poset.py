@@ -80,6 +80,49 @@ def test_masks_outside_the_family_are_rejected(mask):
         poset.top(mask)
 
 
+class _Index:
+    """An integer that is not an int: it converts through operator.index only."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("mask", [1.0, True, False, "1", None])
+def test_a_mask_is_an_int_and_never_a_bool(mask):
+    poset = inclusion_poset(1, 1)
+    for method in (poset.select, poset.maximal, poset.top):
+        with pytest.raises(ValueError, match="family of 3 clans"):
+            method(mask)
+    with pytest.raises(ValueError, match="a mask must be nonnegative"):
+        members(mask)
+
+
+def test_a_mask_is_read_through_operator_index():
+    poset = inclusion_poset(2, 1)
+    for mask in (0, 0b101, 0b110110):
+        assert poset.select(_Index(mask)) == poset.select(mask)
+        assert poset.maximal(_Index(mask)) == poset.maximal(mask)
+        assert poset.top(_Index(mask)) == poset.top(mask)
+        assert members(_Index(mask)) == members(mask)
+
+
+@pytest.mark.parametrize("m", [(1.5, 2), "12", (True, 2), (1, True), (1, 2.0), 12, None, ("1", "2")])
+def test_contained_takes_int_entries_and_never_a_bool(m):
+    poset = inclusion_poset(1, 1)
+    with pytest.raises(ValueError, match="need a vector of 2 entries in 0..2"):
+        poset.contained(m)
+
+
+def test_contained_reads_entries_through_operator_index():
+    poset = inclusion_poset(3, 2)
+    for m in hessenberg_vectors(5):
+        assert poset.contained(tuple(map(_Index, m))) == poset.contained(m)
+    assert poset.contained(iter((1, 2, 3, 4, 5))) == poset.contained((1, 2, 3, 4, 5))
+
+
 @pytest.mark.parametrize("p,q", SHAPES_UP_TO_8)
 def test_keys_agree_with_statistics(p, q):
     n = p + q

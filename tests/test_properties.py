@@ -34,6 +34,7 @@ from clanhess.flag_oracle import (  # noqa: E402
     least_hessenberg_vector,
     random_k_element,
 )
+from clanhess.hessenberg import catalan, hessenberg_vectors, is_hessenberg_vector  # noqa: E402
 from clanhess.perms import Permutation, parse_permutation, render_permutation  # noqa: E402
 from clanhess.poset import InclusionPoset  # noqa: E402
 from clanhess.schubert import SchubertExpansion, monk_product, product_oracle  # noqa: E402
@@ -415,3 +416,12 @@ def test_maximal_and_covers_match_their_definitions(family_and_mask):
         if less[i][j] and not any(less[i][k] and less[k][j] for k in range(size))
     ]
     assert poset.covers() == covers
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(st.integers(1, 10))
+def test_hessenberg_vectors_rise_strictly_and_number_catalan(n):
+    vectors = list(hessenberg_vectors(n))
+    assert all(a < b for a, b in zip(vectors, vectors[1:]))
+    assert all(is_hessenberg_vector(m, n) for m in vectors)
+    assert len(vectors) == catalan(n)
