@@ -17,7 +17,7 @@ import json
 import math
 from typing import NamedTuple
 
-from .perms import Permutation, symmetric_group
+from .perms import Permutation, _index, symmetric_group
 
 __all__ = [
     "PLUS",
@@ -172,17 +172,20 @@ def render_clan(clan: Clan) -> str:
     return text if len(text) == len(clan.symbols) else " ".join(map(str, clan.symbols))
 
 
-def _check_shape(p: int, q: int) -> None:
-    if not p >= q >= 1:
-        raise ValueError(f"need p >= q >= 1, got ({p},{q})")
+def _check_shape(p: int, q: int) -> tuple[int, int]:
+    """(p, q) as ints (``perms._index``), after checking p >= q >= 1."""
+    shape = _index(p), _index(q)
+    if None in shape or not shape[0] >= shape[1] >= 1:
+        raise ValueError(f"need p >= q >= 1, got ({p!r},{q!r})")
+    return shape
 
 
-def _check_degree(w: Permutation, p: int) -> int:
-    """q = deg(w), after checking p >= q >= 1 for gamma_w and its kin."""
-    q = w.degree
-    if not 1 <= q <= p:
-        raise ValueError(f"need p >= q = deg(w) >= 1, got p={p}, q={q}")
-    return q
+def _check_degree(w: Permutation, p: int) -> tuple[int, int]:
+    """(p, q) with q = deg(w), after checking p >= q >= 1 for gamma_w and its kin."""
+    q, value = w.degree, _index(p)
+    if value is None or not 1 <= q <= value:
+        raise ValueError(f"need p >= q = deg(w) >= 1, got p={p!r}, q={q}")
+    return value, q
 
 
 def enumerate_clans(p: int, q: int) -> tuple[Clan, ...]:
@@ -200,7 +203,7 @@ def enumerate_clans(p: int, q: int) -> tuple[Clan, ...]:
     >>> [str(c) for c in enumerate_clans(1, 1)]
     ['+-', '-+', '11']
     """
-    _check_shape(p, q)
+    p, q = _check_shape(p, q)
     n = p + q
     found = []
 
@@ -225,7 +228,7 @@ def enumerate_clans(p: int, q: int) -> tuple[Clan, ...]:
 
 def clan_count(p: int, q: int) -> int:
     """Closed-form count: sum over ell of C(n,2ell)(2ell-1)!!C(n-2ell,p-ell)."""
-    _check_shape(p, q)
+    p, q = _check_shape(p, q)
     n = p + q
     total = 0
     for ell in range(q + 1):
@@ -320,7 +323,7 @@ def gamma_w(w: Permutation, p: int) -> Clan:
     >>> str(gamma_w(Permutation((2, 1, 3)), 5))
     '123++213'
     """
-    q = _check_degree(w, p)
+    p, q = _check_degree(w, p)
     symbols: list = list(range(1, q + 1)) + [PLUS] * (p - q) + [w(j) for j in range(1, q + 1)]
     return Clan(symbols)
 

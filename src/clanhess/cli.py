@@ -99,8 +99,7 @@ def _validated_shape(args) -> tuple[int, int]:
     p, q = args.p, args.q
     if p is None or q is None:
         raise ValueError("this command needs both --p and --q")
-    _check_shape(p, q)
-    return p, q
+    return _check_shape(p, q)
 
 
 # ---------------------------------------------------------------------------

@@ -242,7 +242,7 @@ def random_k_element(p: int, q: int, rng: random.Random, ops: int = 12):
 def k_invariance_spotcheck(clan: Clan, m, trials: int = 8, seed: int = 0) -> bool:
     """Transform the representative flag by random elements of K and check
     that the membership answer never changes."""
-    m = tuple(m)
+    m = _hessenberg_vector(m, clan.n)
     base = geometric_membership(clan, m)
     basis = flag_representative(clan)
     rng = random.Random(seed)

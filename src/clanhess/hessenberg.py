@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .clans import Clan, _check_degree, as_interval_permutation, clan_to_json
-from .perms import Permutation, avoids, h_vector, render_permutation, symmetric_group
+from .clans import Clan, _check_degree, _check_shape, as_interval_permutation, clan_to_json
+from .perms import Permutation, _indices, avoids, h_vector, render_permutation, symmetric_group
 from .poset import inclusion_poset
 
 __all__ = [
@@ -37,32 +37,32 @@ _PATTERN_231 = Permutation((2, 3, 1))
 
 
 def is_hessenberg_vector(m, n: int | None = None) -> bool:
-    """True iff m is nondecreasing with i <= m_i <= len(m) (and length n),
-    its entries ints and not bools.
+    """True iff m is nondecreasing with i <= m_i <= len(m) (and length n), each entry
+    an integer by the library's one rule: through ``operator.index``, never a bool.
 
     >>> is_hessenberg_vector((1, 3, 3))
     True
     >>> is_hessenberg_vector((2, 1, 3))
     False
     """
-    m = tuple(m)
-    if n is not None and len(m) != n:
+    try:
+        return bool(_hessenberg_vector(m, n))  # a nonempty tuple
+    except ValueError:
         return False
-    size = len(m)
-    prev = 1
-    for i, v in enumerate(m, 1):
-        if isinstance(v, bool) or not (isinstance(v, int) and i <= v <= size and v >= prev):
-            return False
+
+
+def _hessenberg_vector(m, n: int | None) -> tuple[int, ...]:
+    """m as a tuple of ints; ValueError unless it is a Hessenberg vector (of length n)."""
+    values = _indices(m) or ()
+    size, prev = len(values), 1
+    for i, v in enumerate(values, 1):
+        if not i <= v <= size or v < prev:
+            break
         prev = v
-    return size > 0
-
-
-def _hessenberg_vector(m, n: int) -> tuple[int, ...]:
-    """m as a tuple; ValueError unless it is a Hessenberg vector of length n."""
-    m = tuple(m)
-    if not is_hessenberg_vector(m, n):
-        raise ValueError(f"not a Hessenberg vector of length {n}: {m!r}")
-    return m
+    else:
+        if size and n in (None, size):
+            return values
+    raise ValueError(f"not a Hessenberg vector of length {size if n is None else n}: {m!r}")
 
 
 def hessenberg_vectors(n: int):
@@ -144,8 +144,9 @@ def hess_orbit_report(p: int, q: int, m) -> HessOrbitReport:
     """Which orbit closures fill the Hessenberg variety of m, its maximal
     ones, and the interval permutation of the unique component if any.
 
-    Raises ValueError if m is not a Hessenberg vector of length p + q.
+    Raises ValueError unless p >= q >= 1 and m is a Hessenberg vector of length p + q.
     """
+    p, q = _check_shape(p, q)
     m = _hessenberg_vector(m, p + q)
     poset = inclusion_poset(p, q)
     mask = poset._contained(m)
@@ -164,7 +165,7 @@ def m_of_w(w: Permutation, p: int) -> tuple[int, ...]:
     >>> m_of_w(Permutation((2, 1, 3)), 3)
     (5, 5, 6, 6, 6, 6)
     """
-    q = _check_degree(w, p)
+    p, q = _check_degree(w, p)
     if not avoids(w, _PATTERN_231):
         raise ValueError(
             f"{render_permutation(w)} contains the pattern 231; "
@@ -181,7 +182,7 @@ def hess_dimension(w: Permutation, p: int) -> int:
     13
     """
     m_of_w(w, p)  # validates p >= q >= 1 and 231-avoidance
-    q = w.degree
+    p, q = _check_degree(w, p)
     return w.length() + p * q + p * (p - 1) // 2
 
 

@@ -33,9 +33,9 @@ __all__ = [
 class Permutation:
     """A permutation of [n] in one-line notation.
 
-    The constructor validates its input: each entry must be an integer
-    (``operator.index``) and the entries must be 1..n in some order, else
-    ValueError.  Results that a kernel derives from already-valid
+    The constructor validates its input: each entry must be an integer by
+    the library's one rule (``_index``) and the entries must be 1..n in some
+    order, else ValueError.  Results that a kernel derives from already-valid
     permutations (Monk product terms, W-set elements) skip that check.
 
     >>> w = Permutation((3, 1, 2))
@@ -58,13 +58,10 @@ class Permutation:
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        try:
-            images = tuple(map(index, self.images))
-        except TypeError:
-            raise ValueError(f"not a permutation of 1..n: {self.images!r}") from None
+        images = _indices(self.images)
+        if images is None or sorted(images) != list(range(1, len(images) + 1)):
+            raise ValueError(f"not a permutation of 1..n: {self.images!r}")
         _set_images(self, images)
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise ValueError(f"not a permutation of 1..n: {images!r}")
         _set_key(self, trim_fixed_points(images))
 
     def __setattr__(self, name: str, value) -> None:
@@ -129,19 +126,17 @@ class Permutation:
         >>> Permutation.from_code((2,))
         Permutation((3, 1, 2))
         """
-        try:
-            code = list(map(index, code))
-        except TypeError:
-            raise ValueError(f"invalid Lehmer code: {tuple(code)!r}") from None
-        n = max([len(code)] + [c + i + 1 for i, c in enumerate(code)])
-        code += [0] * (n - len(code))
+        values = _indices(code)
+        if values is None:
+            raise ValueError(f"invalid Lehmer code: {code!r}")
+        n = max([len(values)] + [c + i + 1 for i, c in enumerate(values)])
         remaining = list(range(1, n + 1))
         images = []
-        for c in code:
+        for c in values:
             if not 0 <= c < len(remaining):
-                raise ValueError(f"invalid Lehmer code: {tuple(code)!r}")
+                raise ValueError(f"invalid Lehmer code: {values!r}")
             images.append(remaining.pop(c))
-        return cls(tuple(images))
+        return cls(tuple(images + remaining))  # zeros pad the code to n: the rest, in order
 
     # -- identification across degrees --------------------------------------
 
@@ -249,6 +244,27 @@ class Permutation:
             if inv[i - 1] > inv[i]:
                 for rest in (Permutation.simple(i) * self).all_reduced_words():
                     yield (i,) + rest
+
+
+def _index(x) -> int | None:
+    """x through ``operator.index``, or None for a bool or a non-integer: the library's one
+    integer rule, for every integer argument; each caller raises ValueError on None."""
+    try:
+        return None if type(x) is bool else index(x)
+    except TypeError:
+        return None
+
+
+def _indices(xs) -> tuple[int, ...] | None:
+    """``_index`` of every entry of xs as a tuple, or None if xs is not iterable or one
+    entry fails: one pass in C, where a call per entry costs ~1 us per Hessenberg vector.
+    ``operator.index`` turns a bool into an int, so bools are refused by type."""
+    try:
+        entries = tuple(xs)
+        values = tuple(map(index, entries))
+    except TypeError:
+        return None
+    return None if bool in map(type, entries) else values
 
 
 # the slot setters, bound once: Permutation.__setattr__ refuses assignment, so the

@@ -42,24 +42,14 @@ from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache, reduce
 from itertools import accumulate, compress
-from operator import and_, index, or_
+from operator import and_, or_
 
 from .clans import MINUS, PLUS, Clan, enumerate_clans
+from .perms import _index, _indices
 
 __all__ = ["InclusionPoset", "inclusion_poset", "members"]
 
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _index(x) -> int | None:
-    """x through operator.index, or None for a bool or a non-integer, which
-    every caller refuses as ``hessenberg.is_hessenberg_vector`` does."""
-    if type(x) is bool:
-        return None
-    try:
-        return index(x)
-    except TypeError:
-        return None
 
 
 def _bits(mask: int) -> bytes:
@@ -252,21 +242,13 @@ class InclusionPoset:
     def contained(self, m) -> int:
         """The bitmask of the clans whose arc ends are <= m componentwise:
         for a Hessenberg vector m, those whose orbit closure lies in its
-        Hessenberg variety.  The one check is that m has n entries, each an
-        int in 0..n, read through operator.index and never a bool (else
-        ValueError); ``hess_orbit_report`` checks the stricter
-        ``hessenberg.is_hessenberg_vector`` before it calls ``_contained``.
-        """
+        Hessenberg variety.  The one check is that m has n entries in 0..n,
+        each an integer by the library's one rule (``operator.index``, never a
+        bool: ``perms._indices``), else ValueError; ``hess_orbit_report`` checks
+        the stricter ``hessenberg.is_hessenberg_vector`` before ``_contained``."""
         n = len(self._arc_ends)
-        # _index's rule in one pass in C: criterion 2 calls this once per
-        # vector, and a Python call per entry cost about 1 us more each
-        try:
-            entries = tuple(m)
-            values = tuple(map(index, entries))
-        except TypeError:
-            entries = values = ()
-        # operator.index turns a bool into an int, so bools are refused by type
-        if len(values) != n or bool in map(type, entries) or min(values) < 0 or max(values) > n:
+        values = _indices(m)
+        if values is None or len(values) != n or min(values) < 0 or max(values) > n:
             raise ValueError(f"need a vector of {n} entries in 0..{n}, got {m!r}")
         return self._contained(values)
 
@@ -330,9 +312,9 @@ class InclusionPoset:
         return out
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=2, typed=True)
 def inclusion_poset(p: int, q: int) -> InclusionPoset:
     """The inclusion order on all (p,q)-clans, in ``enumerate_clans`` order,
     so in the text order of ``clans.render_clan``.  The cache holds the
-    two most recent shapes."""
+    two most recent shapes, typed: a bool or float shape misses it, and ``enumerate_clans`` refuses it."""
     return InclusionPoset(enumerate_clans(p, q))

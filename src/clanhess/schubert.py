@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import chain, zip_longest
 
 from .clans import Clan
-from .perms import Permutation, _from_key, render_permutation
+from .perms import Permutation, _from_key, _index, render_permutation
 from .weak_order import w_set
 
 __all__ = [
@@ -392,11 +392,15 @@ def monk_product(m: int, expansion: SchubertExpansion, n: int | None = None) -> 
     >>> monk_product(1, e).render()
     '1 * S[3,1,2]'
     """
-    if m < 1:
-        raise ValueError(f"Monk factor must be S_{{s_m}} with m >= 1: {m}")
+    value = _index(m)
+    if value is None or value < 1:
+        raise ValueError(f"Monk factor must be S_{{s_m}} with m >= 1: {m!r}")
+    m = value
     if n is not None:
-        if m > n - 1:
-            raise ValueError(f"s_{m} does not lie in S_{n}")
+        value = _index(n)
+        if value is None or m > value - 1:
+            raise ValueError(f"s_{m} does not lie in S_{n!r}")
+        n = value
         for u in expansion.coeffs:
             if len(u.key) > n:
                 raise ValueError(f"term {render_permutation(u)} does not lie in S_{n}")
@@ -427,8 +431,10 @@ def divisor_product_scan(clans: tuple[Clan, ...], max_m: int) -> tuple[list[tupl
     ``w_set`` memo serves the call.  ``max_m`` above n - 1 is the
     ValueError ``monk_product`` raises, and so is ``max_m`` below 1.
     """
-    if max_m < 1:
-        raise ValueError(f"Monk factor must be S_{{s_m}} with m >= 1: {max_m}")
+    value = _index(max_m)
+    if value is None or value < 1:
+        raise ValueError(f"Monk factor must be S_{{s_m}} with m >= 1: {max_m!r}")
+    max_m = value
     cache: dict = {}
     failures = []
     for clan in clans:

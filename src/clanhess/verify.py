@@ -73,6 +73,7 @@ from .hessenberg import (
 )
 from .perms import (
     Permutation,
+    _index,
     avoids,
     bruhat_leq,
     render_permutation,
@@ -259,10 +260,12 @@ def worked_example_checks() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_max_total(max_total: int, name: str = "max_total") -> None:
-    """Reject a bound p + q <= max_total that leaves no shape to scan."""
-    if max_total < 2:
-        raise ValueError(f"{name} must be at least 2, the p + q of the smallest shape (1,1), got {max_total}")
+def check_max_total(max_total: int, name: str = "max_total") -> int:
+    """max_total as an int; ValueError for a bound p + q <= max_total that leaves no shape to scan."""
+    value = _index(max_total)
+    if value is None or value < 2:
+        raise ValueError(f"{name} must be at least 2, the p + q of the smallest shape (1,1), got {max_total!r}")
+    return value
 
 
 CLASSIFICATION_MAX_TOTAL = 7  # criterion 2's default bound on p + q
@@ -270,7 +273,7 @@ CLASSIFICATION_MAX_TOTAL = 7  # criterion 2's default bound on p + q
 
 def irreducibility_checks(max_total: int = CLASSIFICATION_MAX_TOTAL) -> CheckResult:
     """Criterion 2: exhaustive irreducibility classification for 2 <= p + q <= max_total."""
-    check_max_total(max_total)
+    max_total = check_max_total(max_total)
     t0 = time.perf_counter()
     problems: list[str] = []
     shapes = _shapes(max_total)
@@ -285,7 +288,7 @@ def irreducibility_checks(max_total: int = CLASSIFICATION_MAX_TOTAL) -> CheckRes
         poset = inclusion_poset(p, q)
         for m in hessenberg_vectors(p + q):
             vectors_checked += 1
-            mask = poset.contained(m)
+            mask = poset._contained(m)  # m is a Hessenberg vector of the walk
             # the clans of the top layer of mask are maximal in it, so mask has one
             # maximal clan j exactly when j is alone there and its down-set holds mask
             top = poset.top(mask)
@@ -361,7 +364,7 @@ def oracle_checks(max_total: int = ORACLE_MAX_TOTAL, seed: int = 0) -> CheckResu
     (b) r <= m iff h <= m, as m is nondecreasing with m_i >= i; (c) two
     Hessenberg vectors that bound the same set of Hessenberg m are equal
     (take m to be each).  A failing clan is named with both vectors."""
-    check_max_total(max_total)
+    max_total = check_max_total(max_total)
     t0 = time.perf_counter()
     problems: list[str] = []
     rng = random.Random(seed)

@@ -234,7 +234,7 @@ def w_set(clan: Clan, _cache: dict | None = None) -> frozenset[Permutation]:
 def factorization_bijection(w: Permutation, p: int) -> dict[tuple[Permutation, Permutation], Permutation]:
     """The map (u, v) -> u * phi(v), phi in S_{p+q}, on the length-additive
     factorizations w*y0 = u*v; its image is the W-set of gamma_w."""
-    q = _check_degree(w, p)
+    p, q = _check_degree(w, p)
     return {(u, v): u * phi(v, p + q) for u, v in factorization_pairs(w * Permutation.longest(q))}
 
 

@@ -576,7 +576,7 @@ def test_degenerate_classification_fails_criterion_2(capsys, monkeypatch):
     assert "degenerate at (2,1)" in lines[0]
 
 
-_CONTAINED = InclusionPoset.contained
+_CONTAINED = InclusionPoset._contained
 
 
 def _principal_mask_at_1_2(self, m):
@@ -593,11 +593,11 @@ def _full_mask_without_bit_0(self, m):
 @pytest.mark.parametrize(
     "owner,attr,fake,message",
     [
-        (InclusionPoset, "contained", _principal_mask_at_1_2, "m=(1, 2): irreducible=True, expected False"),
+        (InclusionPoset, "_contained", _principal_mask_at_1_2, "m=(1, 2): irreducible=True, expected False"),
         (verify, "as_interval_permutation", lambda clan: None, "m=(2, 2): wrong witness"),
         (verify, "gamma_w", lambda w, p: parse_clan("+-"), "m=(2, 2): component is not gamma_w"),
         # 11 stays the one maximal clan of {-+, 11}, whose down-set is all three clans
-        (InclusionPoset, "contained", _full_mask_without_bit_0, "m=(2, 2): contained set is not the lower ideal"),
+        (InclusionPoset, "_contained", _full_mask_without_bit_0, "m=(2, 2): contained set is not the lower ideal"),
     ],
 )
 def test_criterion_2_names_each_failed_subcheck(monkeypatch, owner, attr, fake, message):

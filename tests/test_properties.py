@@ -41,6 +41,7 @@ from clanhess.schubert import SchubertExpansion, monk_product, product_oracle  #
 from clanhess.weak_order import _SWAP, covers_from, w_set  # noqa: E402
 from test_fast_path import assert_matches_validated_build  # noqa: E402
 from test_flag_oracle import least_vector_all_rows, least_vector_rank_oracle  # noqa: E402
+from test_integer_rule import Index  # noqa: E402
 from test_schubert import monk_oracle  # noqa: E402
 from test_weak_order import w_set_oracle  # noqa: E402
 
@@ -425,3 +426,36 @@ def test_hessenberg_vectors_rise_strictly_and_number_catalan(n):
     assert all(a < b for a, b in zip(vectors, vectors[1:]))
     assert all(is_hessenberg_vector(m, n) for m in vectors)
     assert len(vectors) == catalan(n)
+
+
+def is_hessenberg_vector_oracle(m, n=None):
+    """The named oracle of ``is_hessenberg_vector``: the entry-by-entry loop
+    it replaced, which takes exact ints only (no bools, no ``__index__``)."""
+    m = tuple(m)
+    if n is not None and len(m) != n:
+        return False
+    size = len(m)
+    prev = 1
+    for i, v in enumerate(m, 1):
+        if isinstance(v, bool) or not (isinstance(v, int) and i <= v <= size and v >= prev):
+            return False
+        prev = v
+    return size > 0
+
+
+# random tuples, which are rarely Hessenberg vectors, their sorted forms,
+# which often come close, and Hessenberg vectors themselves
+INT_TUPLES = (
+    st.lists(st.integers(-1, 9), max_size=8)
+    | st.lists(st.integers(0, 9), max_size=8).map(sorted)
+    | st.integers(1, 8).flatmap(lambda n: st.sampled_from(list(hessenberg_vectors(n))))
+).map(tuple)
+
+
+@FIXED
+@given(INT_TUPLES, st.none() | st.integers(0, 9))
+def test_is_hessenberg_vector_matches_its_oracle_on_ints_and_index_objects(m, n):
+    expected = is_hessenberg_vector_oracle(m, n)
+    assert is_hessenberg_vector(m, n) is expected
+    assert is_hessenberg_vector(tuple(map(Index, m)), n) is expected
+    assert is_hessenberg_vector(list(m), n) is expected
