@@ -17,7 +17,7 @@ import math
 from typing import NamedTuple
 
 from .clans import Clan, _check_degree, _check_shape, as_interval_permutation, clan_to_json
-from .perms import Permutation, _indices, avoids, h_vector, render_permutation, symmetric_group
+from .perms import Permutation, _index, _indices, avoids, h_vector, render_permutation, symmetric_group
 from .poset import inclusion_poset
 
 __all__ = [
@@ -65,16 +65,26 @@ def _hessenberg_vector(m, n: int | None) -> tuple[int, ...]:
     raise ValueError(f"not a Hessenberg vector of length {size if n is None else n}: {m!r}")
 
 
+def _length(n: int) -> int:
+    """n as an int by the library's one integer rule (``perms._index``), else ValueError."""
+    value = _index(n)
+    if value is None:
+        raise ValueError(f"need an integer n, got {n!r}")
+    return value
+
+
 def hessenberg_vectors(n: int):
     """Yield all Hessenberg vectors of length n in lexicographic order.
 
     There are Catalan(n) of them.  The walk starts at (1, 2, ..., n); each
     successor adds one to the last entry m_i below n (m_n = n always) and
-    resets every later entry m_k to its least value, max(m_i, k).
+    resets every later entry m_k to its least value, max(m_i, k).  A
+    non-integer n (``_length``) raises ValueError at the first step.
 
     >>> list(hessenberg_vectors(3))
     [(1, 2, 3), (1, 3, 3), (2, 2, 3), (2, 3, 3), (3, 3, 3)]
     """
+    n = _length(n)
     m = list(range(1, n + 1))
     while n >= 0:
         yield tuple(m)
@@ -199,10 +209,12 @@ def classify_irreducibles(p: int, q: int) -> dict[Permutation, tuple[int, ...]]:
 
 
 def catalan(n: int) -> int:
-    """The Catalan number C(2n, n)/(n + 1).
+    """The Catalan number C(2n, n)/(n + 1); ValueError for a negative or
+    non-integer n (``_length``).
 
     >>> [catalan(k) for k in range(6)]
     [1, 1, 2, 5, 14, 42]
     """
+    n = _length(n)
     return math.comb(2 * n, n) // (n + 1)
 

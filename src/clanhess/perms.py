@@ -36,7 +36,7 @@ class Permutation:
     The constructor validates its input: each entry must be an integer by
     the library's one rule (``_index``) and the entries must be 1..n in some
     order, else ValueError.  Results that a kernel derives from already-valid
-    permutations (Monk product terms, W-set elements) skip that check.
+    permutations (products, Monk product terms, W-set elements) skip that check.
 
     >>> w = Permutation((3, 1, 2))
     >>> w(1), w(2), w(17)
@@ -169,8 +169,15 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if not isinstance(other, Permutation):
             return NotImplemented
-        n = max(self.degree, other.degree)
-        return Permutation(tuple(self(other(i)) for i in range(1, n + 1)))
+        # x(y(i)) on one-line tuples: x padded to the larger degree, read at
+        # y(i) - 1 (a 0 in front shifts the index), then x's entries past y
+        x, y = self.images, other.images
+        x = (0,) + x + tuple(range(len(x) + 1, len(y) + 1))
+        images = tuple(map(x.__getitem__, y)) + x[len(y) + 1 :]
+        w = object.__new__(Permutation)
+        _set_images(w, images)
+        _set_key(w, trim_fixed_points(images))
+        return w
 
     def inverse(self) -> "Permutation":
         images = [0] * len(self.images)
@@ -268,7 +275,7 @@ def _indices(xs) -> tuple[int, ...] | None:
 
 
 # the slot setters, bound once: Permutation.__setattr__ refuses assignment, so the
-# constructor and _from_key (per Monk term and W-set element) set the slots with these
+# constructor, __mul__ and _from_key (per Monk term and W-set element) set the slots with these
 _set_images = Permutation.images.__set__
 _set_key = Permutation.key.__set__
 

@@ -32,21 +32,33 @@ __all__ = [
 ]
 
 
+def _trim(exps: tuple[int, ...]) -> tuple[int, ...]:
+    """The exponent tuple with its trailing zeros removed."""
+    end = len(exps)
+    while end and not exps[end - 1]:
+        end -= 1
+    return exps[:end]
+
+
+def _sum(pairs) -> dict[tuple[int, ...], int]:
+    """Sum (exponents, coefficient) pairs by exponents, dropping zero terms;
+    the exponent tuples are taken as they come."""
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    for exps, coeff in pairs:
+        out[exps] = get(exps, 0) + coeff
+    return {exps: coeff for exps, coeff in out.items() if coeff}
+
+
 def _normal(pairs) -> dict[tuple[int, ...], int]:
     """Sum (exponents, coefficient) pairs by exponents with trailing zeros
-    trimmed, dropping zero terms."""
-    out: dict[tuple[int, ...], int] = {}
+    trimmed, dropping zero terms; ValueError for a negative exponent."""
+    checked = []
     for exps, coeff in pairs:
         if min(exps, default=0) < 0:
             raise ValueError(f"negative exponent in {exps!r}")
-        end = len(exps)
-        while end and exps[end - 1] == 0:
-            end -= 1
-        key = tuple(exps[:end])
-        out[key] = total = out.get(key, 0) + coeff
-        if not total:
-            del out[key]
-    return out
+        checked.append((_trim(tuple(exps)), coeff))
+    return _sum(checked)
 
 
 class IntPolynomial:
@@ -68,9 +80,11 @@ class IntPolynomial:
 
     @classmethod
     def _of(cls, pairs) -> "IntPolynomial":
-        """The polynomial summing (exponents, coefficient) pairs, normalized once."""
+        """The polynomial summing (exponents, coefficient) pairs whose exponent
+        tuples are trimmed and nonnegative, as every internal caller's are (a
+        sum of trimmed tuples ends in a nonzero entry): nothing is checked."""
         poly = cls.__new__(cls)
-        poly.terms = _normal(pairs)
+        poly.terms = _sum(pairs)
         return poly
 
     @classmethod
@@ -145,11 +159,16 @@ class IntPolynomial:
             raise ValueError(f"divided difference needs i >= 1: {i}")
         out = []
         for exps, coeff in self.terms.items():
-            padded = exps + (0,) * max(0, i + 1 - len(exps))
+            padded = exps + (0,) * (i + 1 - len(exps))
             a, b = padded[i - 1], padded[i]
+            if a == b:  # s_i fixes the term, so it cancels
+                continue
             lo, hi, sign = (b, a, coeff) if a > b else (a, b, -coeff)
+            head, tail = padded[: i - 1], padded[i + 1 :]
+            # a nonempty tail is the end of a trimmed key; else the new key may end in zeros
             for j in range(hi - lo):
-                out.append((padded[: i - 1] + (lo + j, hi - 1 - j) + padded[i + 1 :], sign))
+                key = head + (lo + j, hi - 1 - j) + tail
+                out.append((key if tail else _trim(key), sign))
         return IntPolynomial._of(out)
 
     def leading(self) -> tuple[tuple[int, ...], int] | None:
@@ -380,6 +399,15 @@ def _monk_terms(m: int, terms: dict, n: int | None) -> dict[tuple[int, ...], int
     return out
 
 
+def _monk_index(m: int) -> int:
+    """m as an int by the library's one integer rule (``perms._index``); ValueError
+    unless m >= 1, the index of a Monk factor S_{s_m}."""
+    value = _index(m)
+    if value is None or value < 1:
+        raise ValueError(f"Monk factor must be S_{{s_m}} with m >= 1: {m!r}")
+    return value
+
+
 def monk_product(m: int, expansion: SchubertExpansion, n: int | None = None) -> SchubertExpansion:
     """Multiply by S_{s_m} using Monk's rule.
 
@@ -392,10 +420,7 @@ def monk_product(m: int, expansion: SchubertExpansion, n: int | None = None) -> 
     >>> monk_product(1, e).render()
     '1 * S[3,1,2]'
     """
-    value = _index(m)
-    if value is None or value < 1:
-        raise ValueError(f"Monk factor must be S_{{s_m}} with m >= 1: {m!r}")
-    m = value
+    m = _monk_index(m)
     if n is not None:
         value = _index(n)
         if value is None or m > value - 1:
@@ -409,9 +434,9 @@ def monk_product(m: int, expansion: SchubertExpansion, n: int | None = None) -> 
 
 def product_oracle(m: int, expansion: SchubertExpansion) -> SchubertExpansion:
     """The same product computed with no combinatorics: multiply the actual
-    polynomials and expand the result back in the Schubert basis."""
-    if m < 1:
-        raise ValueError(f"Monk factor must be S_{{s_m}} with m >= 1: {m}")
+    polynomials and expand the result back in the Schubert basis.  m is
+    checked as ``monk_product`` checks it."""
+    m = _monk_index(m)
     product = schubert_polynomial(Permutation.simple(m)) * expansion.polynomial()
     return expand_in_schubert_basis(product)
 
@@ -431,10 +456,7 @@ def divisor_product_scan(clans: tuple[Clan, ...], max_m: int) -> tuple[list[tupl
     ``w_set`` memo serves the call.  ``max_m`` above n - 1 is the
     ValueError ``monk_product`` raises, and so is ``max_m`` below 1.
     """
-    value = _index(max_m)
-    if value is None or value < 1:
-        raise ValueError(f"Monk factor must be S_{{s_m}} with m >= 1: {max_m!r}")
-    max_m = value
+    max_m = _monk_index(max_m)
     cache: dict = {}
     failures = []
     for clan in clans:

@@ -13,10 +13,18 @@ import pytest
 from clanhess import verify
 from clanhess.clans import clan_count, enumerate_clans, gamma_w
 from clanhess.flag_oracle import geometric_membership, k_invariance_spotcheck
-from clanhess.hessenberg import hess_dimension, hess_orbit_report, is_hessenberg_vector, m_of_w, orbit_in_hess
+from clanhess.hessenberg import (
+    catalan,
+    hess_dimension,
+    hess_orbit_report,
+    hessenberg_vectors,
+    is_hessenberg_vector,
+    m_of_w,
+    orbit_in_hess,
+)
 from clanhess.perms import Permutation
 from clanhess.poset import inclusion_poset, members
-from clanhess.schubert import SchubertExpansion, divisor_product_scan, monk_product
+from clanhess.schubert import SchubertExpansion, divisor_product_scan, monk_product, product_oracle
 from clanhess.weak_order import factorization_bijection
 
 
@@ -51,7 +59,10 @@ ENTRY_POINTS = [
     ("InclusionPoset.select", lambda x: inclusion_poset(1, 1).select(x), 0b101),
     ("InclusionPoset.top", lambda x: inclusion_poset(1, 1).top(x), 0b011),
     ("InclusionPoset.maximal", lambda x: inclusion_poset(1, 1).maximal(x), 0b111),
+    ("InclusionPoset.down_of", lambda x: inclusion_poset(1, 1).down_of(x), 1),
     ("members", members, 0b10110),
+    ("hessenberg_vectors", lambda x: list(hessenberg_vectors(x)), 3),
+    ("catalan", catalan, 3),
     ("hess_orbit_report p", lambda x: hess_orbit_report(x, 1, (2, 2)), 1),
     ("hess_orbit_report m", lambda x: hess_orbit_report(1, 1, (x, 2)), 1),
     ("orbit_in_hess", lambda x: orbit_in_hess(enumerate_clans(1, 1)[2], (x, 2)), 2),
@@ -60,6 +71,7 @@ ENTRY_POINTS = [
     ("monk_product m", lambda x: monk_product(x, _E, n=3), 1),
     ("monk_product n", lambda x: monk_product(1, _E, n=x), 3),
     ("monk_product stable m", lambda x: monk_product(x, _E), 2),
+    ("product_oracle", lambda x: product_oracle(x, _E), 1),
     ("divisor_product_scan", lambda x: divisor_product_scan(enumerate_clans(2, 1), x), 2),
     ("check_max_total", verify.check_max_total, 2),
 ]

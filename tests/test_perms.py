@@ -153,6 +153,17 @@ def test_composition_convention():
     assert (w * s1).images == (4, 2, 1, 3)
 
 
+def test_product_matches_composition_on_every_pair_of_s4_and_s5():
+    # __mul__ composes the padded one-line tuples and skips validation: each
+    # product must equal the validated build of x(y(i)) in every field
+    group = list(symmetric_group(4)) + list(symmetric_group(5))
+    for x, y in itertools.product(group, repeat=2):
+        n = max(x.degree, y.degree)
+        want = Permutation(tuple(x(y(i)) for i in range(1, n + 1)))
+        got = x * y
+        assert (got.images, got.degree, got.key) == (want.images, want.degree, want.key)
+
+
 def test_identity_and_inverse():
     for n in range(1, 5):
         for w in symmetric_group(n):

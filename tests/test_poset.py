@@ -1,6 +1,8 @@
 """The bitmask inclusion-poset engine against the pairwise oracles."""
 
 import functools
+import itertools
+import operator
 import random
 
 import pytest
@@ -261,6 +263,54 @@ def test_down_of_is_the_stored_row(p, q):
     poset = InclusionPoset(enumerate_clans(p, q))
     got = [poset.down_of(j) for j in range(len(poset.clans))]
     assert got == list(poset.down)
+
+
+@pytest.mark.parametrize("j", [-1, 3, True, 1.0, "1", None])
+def test_down_of_takes_a_clan_index_in_range(j):
+    # a negative index once read from the end, and True read as clan 1
+    with pytest.raises(ValueError, match=r"need a clan index in 0\.\.2, got "):
+        inclusion_poset(1, 1).down_of(j)
+
+
+def _member_axioms_hold(down):
+    """The partial-order axioms as criterion 8 once checked them, the oracle of
+    its covers-based check: reflexive, each row holds the rows of its
+    members (transitive), and no two rows are equal (antisymmetric)."""
+    return all(
+        (below >> i) & 1 and functools.reduce(operator.or_, map(down.__getitem__, members(below)), 0) == below
+        for i, below in enumerate(down)
+    ) and len(set(down)) == len(down)
+
+
+@pytest.mark.parametrize("p,q", verify._shapes(5))
+def test_covers_check_rejects_every_row_flip_the_member_check_rejects(p, q):
+    clans = enumerate_clans(p, q)
+    poset = InclusionPoset(clans)
+    rows = poset.down
+    assert _member_axioms_hold(rows) and verify._order_axiom_problems(clans, rows, poset.covers()) == []
+    stricter = 0
+    for j, i in itertools.product(range(len(rows)), repeat=2):
+        flipped = list(rows)
+        flipped[j] ^= 1 << i
+        poset._down = tuple(flipped)  # covers() reads the flipped rows
+        problems = verify._order_axiom_problems(clans, poset.down, poset.covers())
+        if not _member_axioms_hold(flipped):
+            assert problems and all(" inclusion not " in line for line in problems), (i, j)
+        elif problems:
+            # a partial order that breaks the rank layering: named by its clan
+            stricter += 1
+            assert len(problems) == 1 and "is not the closure of its Hasse covers" in problems[0]
+    assert stricter >= 2
+
+
+def test_covers_check_names_the_clan_whose_row_breaks_the_layering():
+    # +- above -+ keeps a partial order, but both lie in the bottom layer
+    clans = enumerate_clans(1, 1)
+    poset = InclusionPoset(clans)
+    poset._down = (0b011, 0b010, 0b111)
+    assert verify._order_axiom_problems(clans, poset.down, poset.covers()) == [
+        "(1,1): the row of +- is not the closure of its Hasse covers"
+    ]
 
 
 @pytest.mark.parametrize("p,q", SHAPES_UP_TO_7)

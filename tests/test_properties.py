@@ -37,7 +37,7 @@ from clanhess.flag_oracle import (  # noqa: E402
 from clanhess.hessenberg import catalan, hessenberg_vectors, is_hessenberg_vector  # noqa: E402
 from clanhess.perms import Permutation, parse_permutation, render_permutation  # noqa: E402
 from clanhess.poset import InclusionPoset  # noqa: E402
-from clanhess.schubert import SchubertExpansion, monk_product, product_oracle  # noqa: E402
+from clanhess.schubert import IntPolynomial, SchubertExpansion, _normal, monk_product, product_oracle  # noqa: E402
 from clanhess.weak_order import _SWAP, covers_from, w_set  # noqa: E402
 from test_fast_path import assert_matches_validated_build  # noqa: E402
 from test_flag_oracle import least_vector_all_rows, least_vector_rank_oracle  # noqa: E402
@@ -121,6 +121,44 @@ def test_expansion_keys_are_trimmed_and_coefficients_nonzero(terms):
     normal.clear()
     normal[Permutation((2, 1))] = 7
     assert expansion.coeffs == expected
+
+
+def divided_difference_oracle(poly, i):
+    """d_i as the kernel once computed it: each term's padded key, summed and
+    trimmed by ``schubert._normal``, the public constructor's route."""
+    out = []
+    for exps, coeff in poly.terms.items():
+        padded = exps + (0,) * max(0, i + 1 - len(exps))
+        a, b = padded[i - 1], padded[i]
+        lo, hi, sign = (b, a, coeff) if a > b else (a, b, -coeff)
+        for j in range(hi - lo):
+            out.append((padded[: i - 1] + (lo + j, hi - 1 - j) + padded[i + 1 :], sign))
+    return _normal(out)
+
+
+# keys with trailing zeros, and zero or opposite coefficients, that the constructor merges
+polynomials = st.dictionaries(
+    st.lists(st.integers(0, 4), max_size=5).map(tuple), st.integers(-3, 3), max_size=8
+).map(IntPolynomial)
+
+
+@FIXED
+@given(polynomials, st.integers(1, 6))
+@example(IntPolynomial({(2,): 1, (0, 2): 1}), 1)  # x1^2 + x2^2 is symmetric: d_1 cancels it
+@example(IntPolynomial({(1,): 2, (1, 0, 0): -2, (0, 1, 0): 1}), 3)  # cancelled at construction
+@example(IntPolynomial({(0, 1): 1}), 1)  # the term x1^0 x2^0 left by d_1 trims to ()
+def test_divided_difference_matches_the_normalizing_oracle(poly, i):
+    got = poly.divided_difference(i)
+    assert got.terms == divided_difference_oracle(poly, i)
+
+
+@FIXED
+@given(polynomials, polynomials, st.integers(-3, 3))
+def test_arithmetic_gives_normal_terms_without_normalizing(f, g, c):
+    # the kernels sum terms unchecked (IntPolynomial._of): each result must
+    # already be what the normalizing constructor would store
+    for h in (f + g, f - g, -f, f * g, f * c, f.divided_difference(1)):
+        assert _normal(h.terms.items()) == h.terms
 
 
 @st.composite

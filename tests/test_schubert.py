@@ -50,6 +50,9 @@ def test_polynomial_arithmetic():
         IntPolynomial.variable(0)
     with pytest.raises(ValueError):
         IntPolynomial.monomial((1, -1))
+    # the public constructor still checks every key; only the kernels skip it
+    with pytest.raises(ValueError, match="negative exponent"):
+        IntPolynomial({(1, -1): 1})
 
 
 def test_render():
