@@ -219,6 +219,15 @@ def random_k_element(p: int, q: int, rng: random.Random, ops: int = 12):
 
     Built from the identity by integer row operations inside each block, so
     the determinant of each block is +-1 by construction.
+
+    Each operation draws two distinct rows of the block, the move, and for
+    an added multiple its factor.  The draws are those of the former
+    ``rng.sample(range(lo, hi), 2)`` and ``rng.choice`` calls, made with
+    ``randrange`` alone: for a block of up to 21 rows, CPython's ``sample``
+    draws ``randrange(size)``, moves the last row into that place, then
+    draws ``randrange(size - 1)``; ``choice`` draws one ``randrange`` of its
+    length.  A larger block draws differently from ``sample``, which
+    switches to rejection there.
     """
     n = p + q
     g = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -227,15 +236,17 @@ def random_k_element(p: int, q: int, rng: random.Random, ops: int = 12):
         if size < 2:
             continue
         for _ in range(ops):
-            i, j = rng.sample(range(lo, hi), 2)
-            move = rng.choice(("add", "swap", "negate"))
-            if move == "add":
-                c = rng.choice((-2, -1, 1, 2))
-                g[i] = [a + c * b for a, b in zip(g[i], g[j])]
-            elif move == "swap":
+            a = rng.randrange(size)
+            b = rng.randrange(size - 1)
+            i, j = lo + a, lo + (size - 1 if b == a else b)
+            move = rng.randrange(3)
+            if move == 0:  # add a multiple of row j
+                c = (-2, -1, 1, 2)[rng.randrange(4)]
+                g[i] = [x + c * y for x, y in zip(g[i], g[j])]
+            elif move == 1:  # swap
                 g[i], g[j] = g[j], g[i]
-            else:
-                g[i] = [-a for a in g[i]]
+            else:  # negate
+                g[i] = [-x for x in g[i]]
     return [tuple(row) for row in g]
 
 

@@ -445,6 +445,45 @@ def test_criterion_8_names_a_pair_at_each_broken_order_axiom(monkeypatch):
     ]
 
 
+def _criterion_8_problems(monkeypatch):
+    found = []
+    monkeypatch.setattr(verify, "_finish", lambda name, problems, detail, t0: found.extend(problems))
+    verify.structural_checks()
+    return found
+
+
+def test_criterion_8_names_each_hasse_cover_with_a_dimension_step_other_than_1(monkeypatch):
+    # one dimension up at (1,1): both Hasse covers below 11 step by 2
+    real = verify.orbit_dimension
+    monkeypatch.setattr(
+        verify, "orbit_dimension", lambda c: real(c) + ((c.p, c.q, render_clan(c)) == (1, 1, "11"))
+    )
+    found = _criterion_8_problems(monkeypatch)
+    assert [line for line in found if "has dimension step" in line] == [
+        "inclusion cover +- < 11 has dimension step 2",
+        "inclusion cover -+ < 11 has dimension step 2",
+    ]
+
+
+def test_criterion_8_checks_the_order_axioms_at_p_plus_q_8(monkeypatch):
+    # the top clan 12344321 at (4,4) loses the bottom clan ++++---- from its
+    # row, but clan 11 below it keeps it: transitivity fails
+    class Patched(verify.InclusionPoset):
+        __slots__ = ()
+
+        @property
+        def down(self):
+            rows = list(super().down)
+            if (self.clans[0].p, self.clans[0].q) == (4, 4):
+                rows[-1] ^= 1
+            return tuple(rows)
+
+    monkeypatch.setattr(verify, "InclusionPoset", Patched)
+    assert _criterion_8_problems(monkeypatch) == [
+        "(4,4): inclusion not antisymmetric or not transitive at 2834,11"
+    ]
+
+
 def test_verify_subset_passes(capsys):
     status, lines = run(capsys, "verify", "wsets")
     assert status == 0

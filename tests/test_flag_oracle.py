@@ -258,6 +258,38 @@ def test_random_k_element_block_structure():
     assert abs(_det([row[p:] for row in g[p:]])) == 1
 
 
+def random_k_element_oracle(p, q, rng, ops=12):
+    """random_k_element as it was written with rng.sample and rng.choice:
+    the oracle of the randrange draws that replaced them."""
+    n = p + q
+    g = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for lo, hi in ((0, p), (p, n)):
+        if hi - lo < 2:
+            continue
+        for _ in range(ops):
+            i, j = rng.sample(range(lo, hi), 2)
+            move = rng.choice(("add", "swap", "negate"))
+            if move == "add":
+                c = rng.choice((-2, -1, 1, 2))
+                g[i] = [a + c * b for a, b in zip(g[i], g[j])]
+            elif move == "swap":
+                g[i], g[j] = g[j], g[i]
+            else:
+                g[i] = [-a for a in g[i]]
+    return [tuple(row) for row in g]
+
+
+@pytest.mark.parametrize("p", range(1, 8))
+def test_random_k_element_makes_the_draws_of_sample_and_choice(p):
+    # the same matrix and the same generator state after it, so every later
+    # draw of criterion 4's spot checks is unchanged too
+    for q in range(1, 8):
+        for seed in range(200):
+            rng, oracle_rng = random.Random(seed), random.Random(seed)
+            assert random_k_element(p, q, rng) == random_k_element_oracle(p, q, oracle_rng), (q, seed)
+            assert rng.getstate() == oracle_rng.getstate(), (q, seed)
+
+
 def _det(mat):
     if len(mat) == 1:
         return mat[0][0]

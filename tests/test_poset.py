@@ -303,6 +303,62 @@ def test_covers_check_rejects_every_row_flip_the_member_check_rejects(p, q):
     assert stricter >= 2
 
 
+def _covers_check_accepts(poset, dims):
+    """Criterion 8's order checks as they were before ``_graded_order``, the
+    oracle of its one pass: every Hasse cover of ``covers()`` is a unit
+    step of dims, and the rows pass ``_order_axiom_problems``."""
+    hasse = poset.covers()
+    return all(dims[j] == dims[i] + 1 for i, j in hasse) and not verify._order_axiom_problems(
+        poset.clans, poset.down, hasse
+    )
+
+
+@pytest.mark.parametrize("p,q", verify._shapes(5))
+def test_graded_order_accepts_what_the_covers_check_accepts(p, q):
+    # every one-bit row flip and every +-1 shift of one clan's dimension
+    clans = enumerate_clans(p, q)
+    poset = InclusionPoset(clans)
+    rows = poset.down
+    dims = [clans_mod.orbit_dimension(c) for c in clans]
+    assert verify._graded_order(poset, rows, dims) == len(poset.covers())
+    assert _covers_check_accepts(poset, dims)
+    cases = []
+    for j, i in itertools.product(range(len(rows)), repeat=2):
+        flipped = list(rows)
+        flipped[j] ^= 1 << i
+        cases.append((tuple(flipped), dims))
+    for j, step in itertools.product(range(len(dims)), (-1, 1)):
+        shifted = list(dims)
+        shifted[j] += step
+        cases.append((rows, shifted))
+    accepted = 0
+    for case_rows, case_dims in cases:
+        poset._down = case_rows  # covers() reads the perturbed rows
+        graded = verify._graded_order(poset, case_rows, case_dims)
+        assert (graded is not None) == _covers_check_accepts(poset, case_dims), (case_rows, case_dims)
+        accepted += graded is not None
+    # a flip that drops a lower cover from a row can leave another graded
+    # order (at (1,1), +- and 11 incomparable), which both checks accept
+    assert 0 < accepted < len(cases)
+
+
+def test_graded_order_refuses_a_graded_order_that_breaks_the_layering():
+    # +- < -+ < 11 with dimensions 0, 1, 2 is a graded order, but +- and -+
+    # share the bottom rank layer, so covers() never finds +- below -+
+    poset = InclusionPoset(enumerate_clans(1, 1))
+    poset._down = (0b001, 0b011, 0b111)
+    dims = [0, 1, 2]
+    assert verify._graded_order(poset, poset.down, dims) is None
+    assert not _covers_check_accepts(poset, dims)
+
+
+def test_graded_order_and_the_covers_check_pass_at_5_4():
+    poset = inclusion_poset(5, 4)
+    dims = [clans_mod.orbit_dimension(c) for c in poset.clans]
+    assert verify._graded_order(poset, poset.down, dims) == len(poset.covers()) == 57192
+    assert _covers_check_accepts(poset, dims)
+
+
 def test_covers_check_names_the_clan_whose_row_breaks_the_layering():
     # +- above -+ keeps a partial order, but both lie in the bottom layer
     clans = enumerate_clans(1, 1)
