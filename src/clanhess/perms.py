@@ -77,24 +77,27 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
+        return cls(tuple(range(1, _degree(n) + 1)))
 
     @classmethod
     def longest(cls, n: int) -> "Permutation":
         """The longest element w0 = n, n-1, ..., 1 of S_n."""
-        return cls(tuple(range(n, 0, -1)))
+        return cls(tuple(range(_degree(n), 0, -1)))
 
     @classmethod
     def simple(cls, i: int, n: int | None = None) -> "Permutation":
         """The simple transposition s_i exchanging i and i+1."""
-        if i < 1:
-            raise ValueError(f"simple reflection index must be >= 1: {i}")
-        return cls.transposition(i, i + 1, n)
+        value = _index(i)
+        if value is None or value < 1:
+            raise ValueError(f"simple reflection index must be >= 1: {i!r}")
+        return cls.transposition(value, value + 1, n)
 
     @classmethod
     def transposition(cls, j: int, k: int, n: int | None = None) -> "Permutation":
-        if n is None:
-            n = max(j, k)
+        values = _indices((j, k) if n is None else (j, k, n))
+        if values is None:
+            raise ValueError(f"bad transposition ({j!r},{k!r}) in S_{n!r}: need integers")
+        j, k, n = values if n is not None else (*values, max(values))
         if not 1 <= j < k <= n:
             raise ValueError(f"bad transposition ({j},{k}) in S_{n}")
         images = list(range(1, n + 1))
@@ -108,10 +111,12 @@ class Permutation:
         >>> Permutation.from_word((2, 1))
         Permutation((3, 1, 2))
         """
-        if n is None:
-            n = max(letters, default=0) + 1
+        word = _indices(letters)
+        if word is None:
+            raise ValueError(f"need a word of integer letters, got {letters!r}")
+        n = max(word, default=0) + 1 if n is None else _degree(n)
         images = list(range(1, max(n, 1) + 1))
-        for i in letters:
+        for i in word:
             if i < 1:
                 raise ValueError(f"simple reflection index must be >= 1: {i}")
             if i >= n:
@@ -262,6 +267,14 @@ def _index(x) -> int | None:
         return None
 
 
+def _degree(n) -> int:
+    """``_index(n)`` for the degree n of S_n, else ValueError."""
+    value = _index(n)
+    if value is None:
+        raise ValueError(f"need an integer degree n, got {n!r}")
+    return value
+
+
 def _indices(xs) -> tuple[int, ...] | None:
     """``_index`` of every entry of xs as a tuple, or None if xs is not iterable or one
     entry fails: one pass in C, where a call per entry costs ~1 us per Hessenberg vector.
@@ -304,9 +317,9 @@ def trim_fixed_points(images) -> tuple[int, ...]:
 
 
 def symmetric_group(n: int):
-    """Yield all of S_n in lexicographic one-line order."""
-    for images in permutations(range(1, n + 1)):
-        yield Permutation(images)
+    """An iterator over all of S_n in lexicographic one-line order; n is
+    checked on the call, not on the first step."""
+    return map(Permutation, permutations(range(1, _degree(n) + 1)))
 
 
 def avoids(w: Permutation, pattern: Permutation) -> bool:

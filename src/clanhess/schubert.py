@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import chain, zip_longest
 
 from .clans import Clan
-from .perms import Permutation, _from_key, _index, render_permutation
+from .perms import Permutation, _from_key, _index, _indices, render_permutation
 from .weak_order import w_set
 
 __all__ = [
@@ -52,12 +52,16 @@ def _sum(pairs) -> dict[tuple[int, ...], int]:
 
 def _normal(pairs) -> dict[tuple[int, ...], int]:
     """Sum (exponents, coefficient) pairs by exponents with trailing zeros
-    trimmed, dropping zero terms; ValueError for a negative exponent."""
+    trimmed, dropping zero terms; ValueError for an exponent that is not
+    an integer by the library's one rule (``perms._indices``) or is negative."""
     checked = []
     for exps, coeff in pairs:
-        if min(exps, default=0) < 0:
+        values = _indices(exps)
+        if values is None:
+            raise ValueError(f"need integer exponents, got {exps!r}")
+        if min(values, default=0) < 0:
             raise ValueError(f"negative exponent in {exps!r}")
-        checked.append((_trim(tuple(exps)), coeff))
+        checked.append((_trim(values), coeff))
     return _sum(checked)
 
 
@@ -97,9 +101,10 @@ class IntPolynomial:
 
     @classmethod
     def variable(cls, i: int) -> "IntPolynomial":
-        if i < 1:
-            raise ValueError(f"variables are x1, x2, ...: got index {i}")
-        return cls({(0,) * (i - 1) + (1,): 1})
+        value = _index(i)
+        if value is None or value < 1:
+            raise ValueError(f"variables are x1, x2, ...: got index {i!r}")
+        return cls({(0,) * (value - 1) + (1,): 1})
 
     @classmethod
     def monomial(cls, exps, coeff: int = 1) -> "IntPolynomial":
@@ -155,8 +160,10 @@ class IntPolynomial:
         >>> IntPolynomial.monomial((2,)).divided_difference(1).render()
         'x1 + x2'
         """
-        if i < 1:
-            raise ValueError(f"divided difference needs i >= 1: {i}")
+        value = _index(i)
+        if value is None or value < 1:
+            raise ValueError(f"divided difference needs an integer i >= 1: {i!r}")
+        i = value
         out = []
         for exps, coeff in self.terms.items():
             padded = exps + (0,) * (i + 1 - len(exps))

@@ -31,10 +31,10 @@ single :class:`CheckResult`:
 8. ``structural_checks``       -- cover relations refine inclusion order
    (``p + q <= 7``), inclusion is a partial order graded by orbit dimension
    (every Hasse cover is a unit step; ``p + q <= 8``, in one pass over the
-   rows by ``_graded_order``, with the Hasse covers built only to name a
-   failure), clan counts match the closed form up to ``n = 9``, divided
-   differences satisfy the nilpotence/braid/commutation relations, and
-   Schubert expansion inverts Schubert construction.
+   rows by ``_graded_order``, which also names each clan whose row fails,
+   with no Hasse-cover walk), clan counts match the closed form up to
+   ``n = 9``, divided differences satisfy the nilpotence/braid/commutation
+   relations, and Schubert expansion inverts Schubert construction.
 
 Run everything with ``clanhess verify all`` or via :func:`run_all`.
 ``CRITERIA`` is the table the CLI reads, so a new criterion is one row.
@@ -512,108 +512,84 @@ def _divided_difference_relations(problems: list[str]) -> int:
     return checked
 
 
-def _graded_order(poset: InclusionPoset, down, dims) -> int | None:
+def _graded_order(poset: InclusionPoset, down, dims) -> tuple[int, list[str]]:
     """Whether the rows ``down`` of ``poset`` form a partial order graded by
-    ``dims`` (every Hasse cover a unit step) that keeps the rank layering:
-    the number of Hasse covers if so, else None.  One pass over the rows,
-    with no ``covers()`` walk.  For each clan j, of dimension d in rank
-    layer k, it checks that
+    ``dims`` (every Hasse cover a unit step) that keeps the rank layering,
+    in one pass over the rows, with no ``covers()`` walk: the problem
+    lines, [] when the order passes, after the number of Hasse covers,
+    which counts only when there is no problem.  For each clan j, of
+    dimension d in rank layer k, it checks that
 
-    (a) row j meets the clans of dimension >= d only in j;
-    (b) row j meets the layers at or above k (``poset._cum[k]``) only in j;
-    (c) row j is j's bit OR'd with the rows of its members of dimension d - 1.
+    (1) row j meets the layers at or above k (``poset._cum[k]``) only in j;
+    (2) row j is j's bit OR'd with the rows of its members of dimension d - 1.
 
-    By induction up the dimension, (a) and (c) give a partial order:
-    (a) gives reflexivity and, as every other member of a row has lower
-    dimension, antisymmetry.  For transitivity, a member i != j of row j
-    lies by (c) in the row of some member i' of dimension d - 1, whose row
-    holds the row of i by induction, so row j does too.  A Hasse cover
-    i < j is such an i' itself, as nothing lies strictly between, so it
-    steps the dimension by exactly 1.  Conversely, in an order whose Hasse
-    covers are unit steps, every other member of row j lies below a lower
-    cover of j, of dimension d - 1, so (a) and (c) hold.  (b) keeps the
-    rank layering that ``top``, ``maximal`` and ``covers`` rely on.  The
-    covers-based check (the gradedness loop over ``covers()`` and
-    ``_order_axiom_problems``) refuses rows that break the layering too,
-    and with the layering kept ``covers()`` finds the true Hasse covers,
-    so the two accept exactly the same rows.  In an accepted order the
-    members of dimension d - 1 in (c) are the lower covers of j, since
-    nothing lies strictly between, so their count, summed over j, is the
-    number of Hasse covers."""
+    By induction up the rank layers, rows that pass form such an order.
+    Row j holds j and otherwise only clans of lower layers, by (1), so
+    i <= j <= i forces i = j.  For transitivity, a member i != j of row j
+    lies by (2) in the row of a member i' of dimension d - 1 in a lower
+    layer, whose row holds the row of i by induction; row j holds row i'
+    by (2), so it holds row i too.  By induction as well, i has dimension
+    at most that of i', d - 1.  So a Hasse cover i < j is such an i'
+    itself, as nothing lies strictly between, and steps the dimension by
+    exactly 1.  Conversely, in an order that keeps the layering, (1)
+    holds, and if its Hasse covers are unit steps, each member i != j of
+    row j lies below a lower cover of j, of dimension d - 1, so (2) holds.
+    In an accepted order the members of dimension d - 1 in (2) are the
+    lower covers of j, since a clan strictly between would have a
+    dimension strictly between d - 1 and d, so their count, summed over j,
+    is the number of Hasse covers.
+
+    Each failing clan j gets one line, which names j and, at the first
+    check it fails, the least witness i: j is missing from its own row;
+    i is in row j but not in a lower layer (1); i is in row j but in the
+    row of no member of dimension d - 1 (2, not graded); or i is in the
+    row of such a member but not in row j (2, not transitive)."""
+    clans = poset.clans
+    shape = f"({clans[0].p},{clans[0].q})"
+
+    def least(mask: int) -> str:
+        return render_clan(clans[(mask & -mask).bit_length() - 1])
+
     by_dim: dict[int, int] = {}
     for j, d in enumerate(dims):
         by_dim[d] = by_dim.get(d, 0) | 1 << j
-    at_least: dict[int, int] = {}
-    above = 0
-    for d in sorted(by_dim, reverse=True):
-        above |= by_dim[d]
-        at_least[d] = above
-    hasse = 0
+    hasse, problems = 0, []
     for layer, cum in zip(poset._layers, poset._cum):
         for j in members(layer):
             bit, row, d = 1 << j, down[j], dims[j]
-            if row & at_least[d] != bit or row & cum != bit:
-                return None
-            # the members of dimension d - 1, one at a time, highest first
             closure = bit
-            found = row & by_dim.get(d - 1, 0)
-            while found:
-                i = found.bit_length() - 1
-                found ^= 1 << i
-                closure |= down[i]
-                hasse += 1
-            if closure != row:
-                return None
-    return hasse
-
-
-def _order_axiom_problems(clans, down, hasse) -> list[str]:
-    """The partial-order axioms on the rows ``down`` of an ``InclusionPoset``
-    of clans, checked from its Hasse covers ``hasse`` (``covers()`` on those
-    rows); [] when they hold, else the problem lines that name the failures.
-    Criterion 8 calls it only when ``_graded_order`` refuses the rows, to
-    name what fails.
-
-    covers() takes each lower cover of j from a rank layer strictly below
-    j's.  So if every row is its own bit OR'd with the rows of its lower
-    covers, then by induction up the layers row j holds j (reflexive) and
-    otherwise only clans of lower layers (antisymmetric: i <= j <= i forces
-    i = j), and holds the row of each of its members (transitive).  This is at least
-    as strict as ORing the rows of every member of every row, and it also
-    refuses rows that break the rank layering, on which ``maximal``, ``top``
-    and ``covers`` rely.  Distinct rows follow; they are checked as well."""
-    closure = [1 << j for j in range(len(down))]
-    for i, j in hasse:
-        closure[j] |= down[i]
-    if tuple(closure) == tuple(down) and len(set(down)) == len(down):
-        return []
-    # the failing path: name each failing clan and the first pair at it
-    shape = f"({clans[0].p},{clans[0].q})"
-    problems = []
-    for i, below in enumerate(down):
-        if not (below >> i) & 1:
-            problems.append(f"{shape}: inclusion not reflexive")
-        for j in members(below & ~(1 << i)):
-            if (down[j] >> i) & 1 or down[j] & ~below:
-                problems.append(f"{shape}: inclusion not antisymmetric or not transitive at {i},{j}")
-                break
-    if not problems:
-        # a partial order, so its rows are distinct, and one is not the
-        # closure of its covers' rows
-        j = next(j for j, row in enumerate(down) if row != closure[j])
-        problems.append(f"{shape}: the row of {render_clan(clans[j])} is not the closure of its Hasse covers")
-    return problems
+            if row & cum == bit:
+                # the members of dimension d - 1, one at a time, highest first
+                found = row & by_dim.get(d - 1, 0)
+                while found:
+                    i = found.bit_length() - 1
+                    found ^= 1 << i
+                    closure |= down[i]
+                    hasse += 1
+                if closure == row:
+                    continue
+            name = render_clan(clans[j])
+            if not row & bit:
+                fault = f"misses {name} (not reflexive)"
+            elif row & cum != bit:
+                fault = f"holds {least(row & cum ^ bit)}, which is not in a lower rank layer"
+            elif row & ~closure:
+                fault = f"holds {least(row & ~closure)}, which is in the row of no member of dimension {d - 1}"
+                fault += " (not graded)"
+            else:
+                fault = f"misses {least(closure & ~row)}, which is in the row of a member of dimension {d - 1}"
+                fault += " (not transitive)"
+            problems.append(f"{shape}: the row of {name} {fault}")
+    return hasse, problems
 
 
 def structural_checks() -> CheckResult:
     """Criterion 8: order-theoretic and algebraic invariants of the machinery.
 
     At each shape with p + q <= 8, ``_graded_order`` checks in one pass
-    that the inclusion rows form a partial order graded by orbit dimension.
-    Only rows that it refuses are handed to ``covers()``, the gradedness
-    loop over those covers and ``_order_axiom_problems``, which accept
-    exactly the same rows and name what fails.  At p + q <= 7 every weak
-    cover (``covers_from``) must also be an inclusion with a unit step."""
+    that the inclusion rows form a partial order graded by orbit dimension,
+    and names each clan whose row fails.  At p + q <= 7 every weak cover
+    (``covers_from``) must also be an inclusion with a unit step."""
     t0 = time.perf_counter()
     problems: list[str] = []
 
@@ -630,15 +606,7 @@ def structural_checks() -> CheckResult:
         poset = InclusionPoset(clans)
         down = poset.down
         dims = [orbit_dimension(c) for c in clans]
-        # the Hasse covers are walked only to name what fails
-        hasse = None if _graded_order(poset, down, dims) is not None else poset.covers()
-        # gradedness: every Hasse cover of inclusion raises the dimension by 1
-        for i, j in hasse or ():
-            if dims[j] != dims[i] + 1:
-                problems.append(
-                    f"inclusion cover {render_clan(clans[i])} < {render_clan(clans[j])} "
-                    f"has dimension step {dims[j] - dims[i]}"
-                )
+        problems += _graded_order(poset, down, dims)[1]
         if p + q <= 7:
             index = {c.symbols: i for i, c in enumerate(clans)}
             for i, clan in enumerate(clans):
@@ -652,8 +620,6 @@ def structural_checks() -> CheckResult:
                     if not move_types.issuperset(cov.move_types):
                         problems.append(f"unknown move type at {render_clan(clan)}")
             poset_nodes += len(clans)
-        if hasse is not None:
-            problems += _order_axiom_problems(clans, down, hasse)
 
     relations = _divided_difference_relations(problems)
 

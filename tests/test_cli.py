@@ -438,10 +438,11 @@ def test_criterion_8_names_a_pair_at_each_broken_order_axiom(monkeypatch):
     found = []
     monkeypatch.setattr(verify, "_finish", lambda name, problems, detail, t0: found.extend(problems))
     verify.structural_checks()
-    assert [line for line in found if "inclusion not" in line] == [
-        "(1,1): inclusion not antisymmetric or not transitive at 0,2",
-        "(1,1): inclusion not antisymmetric or not transitive at 2,0",
-        "(2,1): inclusion not antisymmetric or not transitive at 4,2",
+    # one line per failing clan, naming it and a witness: 11 in the row of
+    # +- (antisymmetry), and ++- below +11 but not below 1+1 (transitivity)
+    assert found == [
+        "(1,1): the row of +- holds 11, which is not in a lower rank layer",
+        "(2,1): the row of 1+1 misses ++-, which is in the row of a member of dimension 2 (not transitive)",
     ]
 
 
@@ -453,15 +454,17 @@ def _criterion_8_problems(monkeypatch):
 
 
 def test_criterion_8_names_each_hasse_cover_with_a_dimension_step_other_than_1(monkeypatch):
-    # one dimension up at (1,1): both Hasse covers below 11 step by 2
+    # one dimension up at (1,1): both Hasse covers below 11 step by 2, so no
+    # member of 11's row has dimension 1; the line names 11 and the least
+    # witness +-, and the weak covers from +- and -+ fail their own check
     real = verify.orbit_dimension
     monkeypatch.setattr(
         verify, "orbit_dimension", lambda c: real(c) + ((c.p, c.q, render_clan(c)) == (1, 1, "11"))
     )
-    found = _criterion_8_problems(monkeypatch)
-    assert [line for line in found if "has dimension step" in line] == [
-        "inclusion cover +- < 11 has dimension step 2",
-        "inclusion cover -+ < 11 has dimension step 2",
+    assert _criterion_8_problems(monkeypatch) == [
+        "(1,1): the row of 11 holds +-, which is in the row of no member of dimension 1 (not graded)",
+        "cover dimension step != 1 at +-",
+        "cover dimension step != 1 at -+",
     ]
 
 
@@ -480,7 +483,7 @@ def test_criterion_8_checks_the_order_axioms_at_p_plus_q_8(monkeypatch):
 
     monkeypatch.setattr(verify, "InclusionPoset", Patched)
     assert _criterion_8_problems(monkeypatch) == [
-        "(4,4): inclusion not antisymmetric or not transitive at 2834,11"
+        "(4,4): the row of 12344321 misses ++++----, which is in the row of a member of dimension 27 (not transitive)"
     ]
 
 

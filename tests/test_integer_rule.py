@@ -11,7 +11,7 @@ import json
 import pytest
 
 from clanhess import verify
-from clanhess.clans import clan_count, enumerate_clans, gamma_w
+from clanhess.clans import clan_count, dense_clan, enumerate_clans, gamma_w, interval_clans
 from clanhess.flag_oracle import geometric_membership, k_invariance_spotcheck
 from clanhess.hessenberg import (
     catalan,
@@ -22,9 +22,9 @@ from clanhess.hessenberg import (
     m_of_w,
     orbit_in_hess,
 )
-from clanhess.perms import Permutation
+from clanhess.perms import Permutation, symmetric_group
 from clanhess.poset import inclusion_poset, members
-from clanhess.schubert import SchubertExpansion, divisor_product_scan, monk_product, product_oracle
+from clanhess.schubert import IntPolynomial, SchubertExpansion, divisor_product_scan, monk_product, product_oracle
 from clanhess.weak_order import factorization_bijection
 
 
@@ -48,6 +48,22 @@ _E = SchubertExpansion({_S21: 1})
 ENTRY_POINTS = [
     ("Permutation", lambda x: Permutation((2, x)), 1),
     ("Permutation.from_code", lambda x: Permutation.from_code((x, 0)), 1),
+    ("Permutation.identity", Permutation.identity, 2),
+    ("Permutation.longest", Permutation.longest, 3),
+    ("Permutation.simple i", lambda x: Permutation.simple(x, 3), 1),
+    ("Permutation.simple n", lambda x: Permutation.simple(1, x), 3),
+    ("Permutation.transposition j", lambda x: Permutation.transposition(x, 3), 1),
+    ("Permutation.transposition k", lambda x: Permutation.transposition(1, x), 3),
+    ("Permutation.transposition n", lambda x: Permutation.transposition(1, 2, x), 3),
+    ("Permutation.from_word letter", lambda x: Permutation.from_word((x, 2)), 1),
+    ("Permutation.from_word n", lambda x: Permutation.from_word((1,), x), 3),
+    ("symmetric_group", lambda x: list(symmetric_group(x)), 3),
+    ("interval_clans q", lambda x: interval_clans(2, x), 2),
+    ("dense_clan q", lambda x: dense_clan(2, x), 2),
+    ("IntPolynomial exponent", lambda x: IntPolynomial({(0, x): 1}), 1),
+    ("IntPolynomial.monomial", lambda x: IntPolynomial.monomial((x,)), 2),
+    ("IntPolynomial.variable", IntPolynomial.variable, 2),
+    ("IntPolynomial.divided_difference", lambda x: IntPolynomial.monomial((2,)).divided_difference(x), 1),
     ("enumerate_clans p", lambda x: enumerate_clans(x, 1), 2),
     ("enumerate_clans q", lambda x: enumerate_clans(2, x), 1),
     ("clan_count", lambda x: clan_count(x, 2), 3),

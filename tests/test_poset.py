@@ -282,35 +282,37 @@ def _member_axioms_hold(down):
     ) and len(set(down)) == len(down)
 
 
+def _covers_check_accepts(poset, dims):
+    """Criterion 8's order check as it was before ``_graded_order``, the
+    oracle of its one pass: every Hasse cover of ``covers()`` is a unit
+    step of dims, each row is its own bit OR'd with the rows of its lower
+    covers, and the rows are distinct."""
+    down, hasse = poset.down, poset.covers()
+    closure = [1 << j for j in range(len(down))]
+    for i, j in hasse:
+        closure[j] |= down[i]
+    return all(dims[j] == dims[i] + 1 for i, j in hasse) and closure == list(down) and len(set(down)) == len(down)
+
+
 @pytest.mark.parametrize("p,q", verify._shapes(5))
 def test_covers_check_rejects_every_row_flip_the_member_check_rejects(p, q):
     clans = enumerate_clans(p, q)
     poset = InclusionPoset(clans)
     rows = poset.down
-    assert _member_axioms_hold(rows) and verify._order_axiom_problems(clans, rows, poset.covers()) == []
+    dims = [clans_mod.orbit_dimension(c) for c in clans]
+    assert _member_axioms_hold(rows) and _covers_check_accepts(poset, dims)
     stricter = 0
     for j, i in itertools.product(range(len(rows)), repeat=2):
         flipped = list(rows)
         flipped[j] ^= 1 << i
         poset._down = tuple(flipped)  # covers() reads the flipped rows
-        problems = verify._order_axiom_problems(clans, poset.down, poset.covers())
+        accepted = _covers_check_accepts(poset, dims)
         if not _member_axioms_hold(flipped):
-            assert problems and all(" inclusion not " in line for line in problems), (i, j)
-        elif problems:
-            # a partial order that breaks the rank layering: named by its clan
+            assert not accepted, (i, j)
+        elif not accepted:
+            # a partial order that breaks the rank layering or the grading
             stricter += 1
-            assert len(problems) == 1 and "is not the closure of its Hasse covers" in problems[0]
     assert stricter >= 2
-
-
-def _covers_check_accepts(poset, dims):
-    """Criterion 8's order checks as they were before ``_graded_order``, the
-    oracle of its one pass: every Hasse cover of ``covers()`` is a unit
-    step of dims, and the rows pass ``_order_axiom_problems``."""
-    hasse = poset.covers()
-    return all(dims[j] == dims[i] + 1 for i, j in hasse) and not verify._order_axiom_problems(
-        poset.clans, poset.down, hasse
-    )
 
 
 @pytest.mark.parametrize("p,q", verify._shapes(5))
@@ -320,7 +322,7 @@ def test_graded_order_accepts_what_the_covers_check_accepts(p, q):
     poset = InclusionPoset(clans)
     rows = poset.down
     dims = [clans_mod.orbit_dimension(c) for c in clans]
-    assert verify._graded_order(poset, rows, dims) == len(poset.covers())
+    assert verify._graded_order(poset, rows, dims) == (len(poset.covers()), [])
     assert _covers_check_accepts(poset, dims)
     cases = []
     for j, i in itertools.product(range(len(rows)), repeat=2):
@@ -334,9 +336,14 @@ def test_graded_order_accepts_what_the_covers_check_accepts(p, q):
     accepted = 0
     for case_rows, case_dims in cases:
         poset._down = case_rows  # covers() reads the perturbed rows
-        graded = verify._graded_order(poset, case_rows, case_dims)
-        assert (graded is not None) == _covers_check_accepts(poset, case_dims), (case_rows, case_dims)
-        accepted += graded is not None
+        hasse, problems = verify._graded_order(poset, case_rows, case_dims)
+        assert (not problems) == _covers_check_accepts(poset, case_dims), (case_rows, case_dims)
+        if not problems:
+            accepted += 1
+            assert hasse == len(poset.covers()), (case_rows, case_dims)
+        else:
+            # one line per failing clan, each naming the shape
+            assert len(problems) == len(set(problems)) and all(line.startswith(f"({p},{q}): the row of ") for line in problems)
     # a flip that drops a lower cover from a row can leave another graded
     # order (at (1,1), +- and 11 incomparable), which both checks accept
     assert 0 < accepted < len(cases)
@@ -348,25 +355,44 @@ def test_graded_order_refuses_a_graded_order_that_breaks_the_layering():
     poset = InclusionPoset(enumerate_clans(1, 1))
     poset._down = (0b001, 0b011, 0b111)
     dims = [0, 1, 2]
-    assert verify._graded_order(poset, poset.down, dims) is None
+    assert verify._graded_order(poset, poset.down, dims)[1] == [
+        "(1,1): the row of -+ holds +-, which is not in a lower rank layer"
+    ]
     assert not _covers_check_accepts(poset, dims)
 
 
 def test_graded_order_and_the_covers_check_pass_at_5_4():
     poset = inclusion_poset(5, 4)
     dims = [clans_mod.orbit_dimension(c) for c in poset.clans]
-    assert verify._graded_order(poset, poset.down, dims) == len(poset.covers()) == 57192
+    assert verify._graded_order(poset, poset.down, dims) == (len(poset.covers()), []) == (57192, [])
     assert _covers_check_accepts(poset, dims)
 
 
-def test_covers_check_names_the_clan_whose_row_breaks_the_layering():
+def test_graded_order_names_the_clan_whose_row_breaks_the_layering():
     # +- above -+ keeps a partial order, but both lie in the bottom layer
-    clans = enumerate_clans(1, 1)
-    poset = InclusionPoset(clans)
+    poset = InclusionPoset(enumerate_clans(1, 1))
     poset._down = (0b011, 0b010, 0b111)
-    assert verify._order_axiom_problems(clans, poset.down, poset.covers()) == [
-        "(1,1): the row of +- is not the closure of its Hasse covers"
+    dims = [clans_mod.orbit_dimension(c) for c in poset.clans]
+    assert not _covers_check_accepts(poset, dims)
+    assert verify._graded_order(poset, poset.down, dims)[1] == [
+        "(1,1): the row of +- holds -+, which is not in a lower rank layer"
     ]
+
+
+@pytest.mark.parametrize(
+    "p, q, patch, shift, line",
+    [
+        (1, 1, {0: 0b000, 2: 0b110}, {}, "the row of +- misses +- (not reflexive)"),
+        (1, 1, {}, {2: 1}, "the row of 11 holds +-, which is in the row of no member of dimension 1 (not graded)"),
+        (2, 1, {4: 0b111110}, {}, "the row of 1+1 misses ++-, which is in the row of a member of dimension 2 (not transitive)"),
+    ],
+)
+def test_graded_order_names_each_failed_check(p, q, patch, shift, line):
+    # patched rows and shifted dimensions of the true order, one failing clan each
+    poset = InclusionPoset(enumerate_clans(p, q))
+    rows = [patch.get(j, row) for j, row in enumerate(poset.down)]
+    dims = [clans_mod.orbit_dimension(c) + shift.get(j, 0) for j, c in enumerate(poset.clans)]
+    assert verify._graded_order(poset, rows, dims)[1] == [f"({p},{q}): {line}"]
 
 
 @pytest.mark.parametrize("p,q", SHAPES_UP_TO_7)
