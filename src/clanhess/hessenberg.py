@@ -66,10 +66,10 @@ def _hessenberg_vector(m, n: int | None) -> tuple[int, ...]:
 
 
 def _length(n: int) -> int:
-    """n as an int by the library's one integer rule (``perms._index``), else ValueError."""
+    """n >= 0 as an int by the library's one integer rule (``perms._index``), else ValueError."""
     value = _index(n)
-    if value is None:
-        raise ValueError(f"need an integer n, got {n!r}")
+    if value is None or value < 0:
+        raise ValueError(f"need an integer n >= 0, got {n!r}")
     return value
 
 
@@ -79,7 +79,7 @@ def hessenberg_vectors(n: int):
     There are Catalan(n) of them.  The walk starts at (1, 2, ..., n); each
     successor adds one to the last entry m_i below n (m_n = n always) and
     resets every later entry m_k to its least value, max(m_i, k).  A
-    non-integer n (``_length``) raises ValueError at the first step.
+    negative or non-integer n (``_length``) raises ValueError at the first step.
 
     >>> list(hessenberg_vectors(3))
     [(1, 2, 3), (1, 3, 3), (2, 2, 3), (2, 3, 3), (3, 3, 3)]

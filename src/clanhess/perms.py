@@ -268,10 +268,10 @@ def _index(x) -> int | None:
 
 
 def _degree(n) -> int:
-    """``_index(n)`` for the degree n of S_n, else ValueError."""
+    """``_index(n)`` for the degree n >= 0 of S_n, else ValueError."""
     value = _index(n)
-    if value is None:
-        raise ValueError(f"need an integer degree n, got {n!r}")
+    if value is None or value < 0:
+        raise ValueError(f"need an integer degree n >= 0, got {n!r}")
     return value
 
 

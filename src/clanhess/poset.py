@@ -18,9 +18,19 @@ Two families of vectors feed the kernel:
   m exactly when r <= m, so the contained clans are one query at m.
 
 Both are built column by column, never clan by clan (``_key_columns``):
-each clan becomes n bytes, one code per position, and column f is one
-bytes object with byte c for ``clans[c]``.  The counts and pair entries
-are running sums of translated columns, added lane-wise as integers.
+each symbol becomes one byte, column f is one bytes object with byte c
+for ``clans[c]``, the arcs are the lanes where two columns hold one
+label, and the counts and pair entries are running sums of translated
+columns, added lane-wise as integers.
+
+The down-sets read the key through one coordinate per prefix length of
+the clan text.  The count at position i is fixed by a clan's first i
+symbols and the pair entry (i, j) by its first j; the entries that one
+prefix length fixes take few distinct tuples together (481 over the ten
+lengths at (5,5), for 54 non-constant entries).  Each length's column
+numbers a clan's tuple in order of first occurrence, and its mask at a
+number is the AND of the threshold masks at that tuple, so a query ANDs
+one mask per prefix length, in any order of the family.
 
 Bit c of every mask stands for ``clans[c]``.  The clans are grouped into
 rank layers by the sum of their flipped key.  The key is injective on one
@@ -32,17 +42,19 @@ running unions of the layers.  The down-sets, N^2/8 bytes for N clans,
 are built on the first read of ``down``; ``down_of`` makes one query
 without them.  ``covers()`` walks only the layers below each clan, and
 stops once the strict down-set is cleared.  At (5,5), 45,297 clans, the
-build takes 0.3 s, the first read of ``down`` 0.8-1.0 s (178 MB RSS), and
-``covers()`` 1.9-2.1 s, peaking at 210 MB (2-core Xeon, Python 3.11.7).
+build takes 0.16-0.25 s, the first read of ``down`` 0.19-0.30 s (177 MB
+RSS), and ``covers()`` 1.5-2.7 s, peaking at 210 MB (2-core Xeon, Python
+3.11.7).
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import lru_cache, reduce
-from itertools import accumulate, compress
-from operator import and_, or_
+from itertools import accumulate, chain, compress
+from operator import and_, attrgetter, or_
 
 from .clans import MINUS, PLUS, Clan, enumerate_clans
 from .perms import _index, _indices
@@ -84,14 +96,21 @@ def members(mask: int) -> list[int]:
 
 def _threshold_masks(columns, top: int) -> list[list[int]]:
     """masks[f][v] = the bitmask of the indices c with columns[f][c] <= v,
-    for 0 <= v <= top.  Each column is a bytes object."""
+    for 0 <= v <= top.  Each column is a bytes object with entries <= top;
+    a mask is read off it only at a value that occurs below its largest."""
     # tables[v] translates each byte x to "1" if x <= v, else to "0"
     tables = [b"1" * (v + 1) + b"0" * (255 - v) for v in range(top + 1)]
     masks = []
     for column in columns:
         # bit c of int(text, 2) is the character at len - 1 - c
         text = column[::-1]
-        masks.append([int(text.translate(table), 2) for table in tables])
+        values = [v for v in range(top + 1) if bytes((v,)) in column]
+        row = [0] * values[0]
+        # the mask at v holds from v up to the next value that occurs
+        for v, end in zip(values, values[1:]):
+            row += [int(text.translate(tables[v]), 2)] * (end - v)
+        row += [(1 << len(column)) - 1] * (top + 1 - values[-1])
+        masks.append(row)
     return masks
 
 
@@ -100,17 +119,21 @@ def _below(masks: list[list[int]], x, full: int) -> int:
     return reduce(and_, map(list.__getitem__, masks, x), full)
 
 
-# The byte code of each position of a clan: an opener holds its arc end t,
-# 2 <= t <= n, so every n up to _MAX_N leaves the three sign codes free.
+# The byte code of each symbol of a clan: a label is its own number, at most
+# n/2, below the sign codes; the arc ends, at most n, and the key entries
+# stay below 256 for every n up to _MAX_N.
 _MAX_N = 252
-_PLUS, _MINUS, _CLOSER = 253, 254, 255
-# both ends of an arc map to _CLOSER; _key_columns then writes t at the opener
-_CODES = {PLUS: _PLUS, MINUS: _MINUS, **dict.fromkeys(range(1, _MAX_N // 2 + 1), _CLOSER)}
+_PLUS, _MINUS = 253, 254
+_CODES = {PLUS: _PLUS, MINUS: _MINUS, **{k: k for k in range(1, _MAX_N // 2 + 1)}}
+# translate tables that send the codes named to 1, every other byte to 0
+_IS_LABEL = bytes(1 <= x <= _MAX_N // 2 for x in range(256))
+_IS_ZERO = bytes(x == 0 for x in range(256))
+_IS_SIGN = tuple(bytes(x == sign for x in range(256)) for sign in (_PLUS, _MINUS))
 
 
-def _ones(codes) -> bytes:
-    """The translate table that sends the bytes in codes to 1, all others to 0."""
-    return bytes(x in codes for x in range(256))
+def _lanes(column: bytes) -> int:
+    # byte c of the integer is lane c
+    return int.from_bytes(column, "little")
 
 
 def _key_columns(clans, n: int, q: int) -> tuple[list[bytes], list[bytes]]:
@@ -120,44 +143,47 @@ def _key_columns(clans, n: int, q: int) -> tuple[list[bytes], list[bytes]]:
     arc ends r (see the module docstring); ``clans.statistics`` is the
     reference.
 
+    Every lane (byte c of an integer) stays <= n < 256, so no sum below
+    carries from one lane into the next.
+
     >>> key, ends = _key_columns([Clan("1+-1"), Clan("+-11")], 4, 2)
     >>> [list(c) for c in zip(*key)], [list(c) for c in zip(*ends)]
     ([[0, 1, 1, 2, 0, 0, 1, 2, 1, 1, 2, 1, 2, 2], [1, 1, 1, 2, 0, 1, 1, 2, 2, 2, 2, 2, 2, 2]], [[4, 0, 0, 0], [0, 0, 4, 0]])
     """
-    rows = []
-    for clan in clans:
-        symbols = clan.symbols
-        row = bytearray(map(_CODES.__getitem__, symbols))
-        s = -1
-        # canonical labels open in increasing order: label k opens after k - 1
-        for label in range(1, row.count(_CLOSER) // 2 + 1):
-            s = symbols.index(label, s + 1)
-            row[s] = symbols.index(label, s + 1) + 1
-        rows.append(row)
-    joined = b"".join(rows)
+    size = len(clans)
+    joined = bytes(map(_CODES.__getitem__, chain.from_iterable(map(attrgetter("symbols"), clans))))
     columns = [joined[pos::n] for pos in range(n)]
-    # byte c of an integer is lane c; every lane stays <= n < 256, so the
-    # running sums below never carry from one lane into the next
-    size = len(rows)
+    del joined
+    codes = list(map(_lanes, columns))
+    # lane c of ends[s] is the end t (1-indexed) of the arc of clans[c] that
+    # opens at position s + 1, else 0; lane c of closes[t] is 1 where an arc closes
+    ends, closes = [0] * n, [0] * n
+    for s in range(n - 1):
+        opens = _lanes(columns[s].translate(_IS_LABEL))
+        for t in range(s + 1, n):
+            # the lanes that hold one label at s and t: XOR clears exactly those
+            same = _lanes((codes[s] ^ codes[t]).to_bytes(size, "little").translate(_IS_ZERO)) & opens
+            ends[s] += (t + 1) * same
+            closes[t] += same
+    del codes
     key = []
     # a closed pair counts as both a plus and a minus
-    for counted in ((_PLUS, _CLOSER), (_MINUS, _CLOSER)):
-        table = _ones(counted)
+    for table in _IS_SIGN:
         total = 0
-        for column in columns:
-            total += int.from_bytes(column.translate(table), "little")
+        for column, closed in zip(columns, closes):
+            total += _lanes(column.translate(table)) + closed
             key.append(total.to_bytes(size, "little"))
+    ends_columns = [x.to_bytes(size, "little") for x in ends]
     # pairs[i][j] = q - #{s <= i : end(s) > j}, one running sum over i per j
-    # ends_above[j] sends the arc ends j+1..n to 1, every other code to 0
+    # ends_above[j] sends the arc ends j+1..n to 1, every other byte to 0
     ends_above = [bytes(j + 1) + b"\x01" * (n - j) + bytes(255 - n) for j in range(n + 1)]
-    qs = int.from_bytes(bytes([q]) * size, "little")
+    qs = _lanes(bytes([q]) * size)
     crossing = [0] * (n + 1)
     for i in range(1, n):
         for j in range(i + 1, n + 1):
-            crossing[j] += int.from_bytes(columns[i - 1].translate(ends_above[j]), "little")
+            crossing[j] += _lanes(ends_columns[i - 1].translate(ends_above[j]))
             key.append((qs - crossing[j]).to_bytes(size, "little"))
-    arc_ends = bytes(range(n + 1)) + bytes(255 - n)
-    return key, [column.translate(arc_ends) for column in columns]
+    return key, ends_columns
 
 
 class InclusionPoset:
@@ -184,11 +210,11 @@ class InclusionPoset:
 
     def __init__(self, clans) -> None:
         self.clans: tuple[Clan, ...] = tuple(clans)
-        shapes = {(c.p, c.q) for c in self.clans}
+        shapes = set(zip(map(attrgetter("p"), self.clans), map(attrgetter("q"), self.clans)))
         if len(shapes) != 1:
             raise ValueError(f"need a nonempty family of clans of one shape (p,q), got {sorted(shapes)}")
         ((p, q),) = shapes
-        if len({c.symbols for c in self.clans}) != len(self.clans):
+        if len(set(map(attrgetter("symbols"), self.clans))) != len(self.clans):
             repeated = Counter(self.clans).most_common(1)[0][0]
             raise ValueError(f"need distinct clans, got {repeated} more than once")
         n = p + q
@@ -202,15 +228,33 @@ class InclusionPoset:
         # a column is constant when its first byte fills it (bytes.count runs
         # in C, where min and max box every byte: 50 times slower at (6,6))
         flip = bytes(range(n, -1, -1)) + bytes(255 - n)
-        self._columns = columns = [
-            col.translate(flip) for col in key if col.count(col[:1]) != len(col)
-        ] or key[:1]
+        # the prefix length that fixes each column: i for the counts at
+        # position i, j for the pair entry (i, j)
+        depths = [*range(1, n + 1)] * 2 + [j for i in range(1, n) for j in range(i + 1, n + 1)]
+        groups: dict[int, list[bytes]] = {}
+        for depth, col in zip(depths, key):
+            if col.count(col[:1]) != len(col):
+                groups.setdefault(depth, []).append(col.translate(flip))
+        if not groups:
+            groups[1] = key[:1]
         del key  # the flipped copy replaces it; both together raised the (5,5) peak RSS by 2.5 MB
-        self._masks = _threshold_masks(columns, n)
+        # one column and one mask list per prefix length (module docstring),
+        # which ``_below`` reads as it would read the key columns
+        self._columns, self._masks, sums = [], [], []
+        for depth in sorted(groups):
+            cols = groups.pop(depth)
+            # code[value] numbers each new value as it is first met
+            code: defaultdict = defaultdict()
+            code.default_factory = code.__len__
+            self._columns.append(array("I", map(code.__getitem__, zip(*cols))))
+            thresholds = _threshold_masks(cols, n)
+            self._masks.append([_below(thresholds, value, self.full) for value in code])
+            sums.append([sum(value) for value in code])
         self._down = None
+        # the rank, the sum of the flipped key, sums each clan's tuple sums
+        ranks = list(map(sum, zip(*(map(s.__getitem__, col) for s, col in zip(sums, self._columns)))))
         # one bitmap per rank, each filled bit by bit and read as an integer
         # once, so the layers cost linear time in the number of clans
-        ranks = list(map(sum, zip(*columns)))
         bitmaps = {rank: bytearray((len(ranks) + 7) >> 3) for rank in set(ranks)}
         for c, rank in enumerate(ranks):
             bitmaps[rank][c >> 3] |= 1 << (c & 7)

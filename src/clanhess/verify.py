@@ -91,7 +91,7 @@ from .schubert import (
     product_oracle,
     schubert_polynomial,
 )
-from .weak_order import MOVE_TYPES, build_graph, covers_from, factorization_bijection, interval_iso_check, w_set
+from .weak_order import MOVE_TYPES, _moves_by_target, build_graph, factorization_bijection, interval_iso_check, w_set
 
 
 class CheckResult(NamedTuple):
@@ -589,7 +589,10 @@ def structural_checks() -> CheckResult:
     At each shape with p + q <= 8, ``_graded_order`` checks in one pass
     that the inclusion rows form a partial order graded by orbit dimension,
     and names each clan whose row fails.  At p + q <= 7 every weak cover
-    (``covers_from``) must also be an inclusion with a unit step."""
+    must also be an inclusion with a unit step and known move types: the
+    covers of ``covers_from``, read off the move kernel grouped by target
+    (``weak_order._moves_by_target``, which ``covers_from`` also reads),
+    with no ``LabeledCover`` built and no target rendered."""
     t0 = time.perf_counter()
     problems: list[str] = []
 
@@ -610,14 +613,16 @@ def structural_checks() -> CheckResult:
         if p + q <= 7:
             index = {c.symbols: i for i, c in enumerate(clans)}
             for i, clan in enumerate(clans):
-                for cov in covers_from(clan):
+                by_target = _moves_by_target(clan.symbols)
+                # the weak covers of clan i by the index of their target:
+                # the text order of the targets, which ``covers_from`` keeps
+                for j, moves in sorted(zip(map(index.__getitem__, by_target), by_target.values())):
                     covers_checked += 1
-                    j = index[cov.target.symbols]
                     if not (down[j] >> i) & 1:
                         problems.append(f"cover not an inclusion: {render_clan(clan)}")
                     if dims[j] != dims[i] + 1:
                         problems.append(f"cover dimension step != 1 at {render_clan(clan)}")
-                    if not move_types.issuperset(cov.move_types):
+                    if not move_types.issuperset(move for _, move in moves):
                         problems.append(f"unknown move type at {render_clan(clan)}")
             poset_nodes += len(clans)
 

@@ -122,16 +122,22 @@ def _moves(symbols: tuple):
         yield tuple(out), b, move
 
 
+def _moves_by_target(symbols: tuple) -> dict[tuple, list[tuple[int, str]]]:
+    """The moves of ``_moves(symbols)`` grouped by target symbol tuple: the
+    (i, move_type) pairs of each target, in the order of ``_moves``."""
+    by_target: dict[tuple, list[tuple[int, str]]] = {}
+    for target, i, move in _moves(symbols):
+        by_target.setdefault(target, []).append((i, move))
+    return by_target
+
+
 def _covers(clan: Clan, target_of, pairs: dict) -> list[LabeledCover]:
     """The covers of a clan merged by target, sorted by target name;
     ``target_of`` maps each target's symbol tuple to its ``Clan``, and
     ``pairs`` holds one (labels, move_types) tuple pair per distinct pair,
     for every cover built with it to share."""
-    by_target: dict[tuple, list[tuple[int, str]]] = {}
-    for target, i, move in _moves(clan.symbols):
-        by_target.setdefault(target, []).append((i, move))
     covers = []
-    for target, moves in by_target.items():
+    for target, moves in _moves_by_target(clan.symbols).items():
         # zip(*moves) splits the (i, move) pairs into the labels and the move types
         pair = tuple(zip(*moves))
         covers.append(LabeledCover(clan, target_of(target), *pairs.setdefault(pair, pair)))

@@ -93,6 +93,54 @@ def _canonical_words(p, q):
     return sorted(found, key=render_clan)
 
 
+def walk_oracle(p, q):
+    """The plain recursive walk that ``enumerate_clans`` replaced: every
+    symbol tuple, one branch per position to the end, with no forced tail."""
+    n = p + q
+    found = []
+
+    def walk(word, pluses, minuses, opened, labels):
+        if len(word) == n:
+            found.append(word)
+            return
+        if pluses:
+            walk(word + (PLUS,), pluses - 1, minuses, opened, labels)
+        if minuses:
+            walk(word + (MINUS,), pluses, minuses - 1, opened, labels)
+        for k, label in enumerate(opened):
+            walk(word + (label,), pluses, minuses, opened[:k] + opened[k + 1 :], labels)
+        if pluses and minuses:
+            walk(word + (labels + 1,), pluses - 1, minuses - 1, opened + (labels + 1,), labels + 1)
+
+    walk((), p, q, (), 0)
+    return found
+
+
+def clan_length_oracle(clan):
+    """The O(l^2) arc-pair sum that ``clan_length`` replaced: over the arcs
+    (i, j), j - i less the arcs (s, t) with s < i < t < j."""
+    arcs = clan.arcs
+    return sum(j - i - sum(1 for s, t in arcs if s < i < t < j) for i, j in arcs)
+
+
+SHAPES_UP_TO_9 = [(n - q, q) for n in range(2, 10) for q in range(1, n // 2 + 1)]
+
+
+@pytest.mark.parametrize("p, q", SHAPES_UP_TO_9)
+def test_enumeration_and_clan_length_match_the_replaced_kernels(p, q):
+    clans = enumerate_clans(p, q)
+    assert [c.symbols for c in clans] == walk_oracle(p, q)
+    assert all((c.p, c.q) == (p, q) for c in clans)
+    assert list(map(clan_length, clans)) == list(map(clan_length_oracle, clans))
+
+
+def test_clan_length_counts_each_crossing_once():
+    # arc lengths less crossings: 1212 crosses once, 1221 and 1122 never,
+    # 123312 once (its arcs 1 and 2 cross, arc 3 nests in both); 121323 twice
+    texts = ("1212", "1221", "1122", "123312", "121323")
+    assert [clan_length(parse_clan(t)) for t in texts] == [4 - 1, 4, 2, 9 - 1, 7 - 2]
+
+
 def test_enumerate_matches_closed_form_and_is_duplicate_free():
     # oracles: sum over ell of C(n,2ell)(2ell-1)!!C(n-2ell,p-ell), and the
     # sorted brute-force word list, element for element

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from clanhess import schubert, verify
+from clanhess import schubert, verify, weak_order
 from clanhess.cli import main
 from clanhess.clans import (
     as_interval_permutation,
@@ -465,6 +465,33 @@ def test_criterion_8_names_each_hasse_cover_with_a_dimension_step_other_than_1(m
         "(1,1): the row of 11 holds +-, which is in the row of no member of dimension 1 (not graded)",
         "cover dimension step != 1 at +-",
         "cover dimension step != 1 at -+",
+    ]
+
+
+def test_criterion_8_names_each_weak_cover_off_inclusion_or_of_an_unknown_type(monkeypatch):
+    # the move kernel, patched: the top clan 11 at (1,1) gets a cover down
+    # to +-, and +-+ at (2,1) one across to ++-, each off inclusion and not
+    # a unit step; the moves of +-+ at s1 and of 1212 at s3 are renamed.
+    # The lines of one clan follow its targets in text order (++- < 11+),
+    # not the order of the moves, as ``covers_from`` gives them
+    real = weak_order._moves
+    extra = {(1, 1): (("+", "-"), 1, "IA1"), ("+", "-", "+"): (("+", "+", "-"), 2, "IA1")}
+    renamed = {("+", "-", "+"): 1, (1, 2, 1, 2): 3}
+
+    def patched(symbols):
+        for target, i, move in real(symbols):
+            yield target, i, "IZ" if renamed.get(symbols) == i else move
+        if symbols in extra:
+            yield extra[symbols]
+
+    monkeypatch.setattr(weak_order, "_moves", patched)
+    assert _criterion_8_problems(monkeypatch) == [
+        "cover not an inclusion: 11",
+        "cover dimension step != 1 at 11",
+        "cover not an inclusion: +-+",
+        "cover dimension step != 1 at +-+",
+        "unknown move type at +-+",
+        "unknown move type at 1212",
     ]
 
 

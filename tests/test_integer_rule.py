@@ -93,6 +93,26 @@ ENTRY_POINTS = [
 ]
 
 
+# (entry point, call with a degree or length n, its value at n = 0): each
+# refuses a negative n, where it once read n as 0 or raised math.comb's error
+NONNEGATIVE = [
+    ("Permutation.identity", Permutation.identity, Permutation(())),
+    ("Permutation.longest", Permutation.longest, Permutation(())),
+    ("Permutation.from_word-n", lambda n: Permutation.from_word((), n), Permutation(())),
+    ("symmetric_group", lambda n: list(symmetric_group(n)), [Permutation(())]),
+    ("hessenberg_vectors", lambda n: list(hessenberg_vectors(n)), [()]),
+    ("catalan", catalan, 1),
+]
+
+
+@pytest.mark.parametrize("name, call, at_zero", NONNEGATIVE, ids=[row[0] for row in NONNEGATIVE])
+def test_a_negative_degree_or_length_is_refused(name, call, at_zero):
+    for n in (-1, -3, Index(-2)):
+        with pytest.raises(ValueError, match=r" n >= 0, got (-1|-3|Index\(-2\))$"):
+            call(n)
+    assert call(0) == at_zero
+
+
 @pytest.mark.parametrize("kind", [lambda good: True, float, str], ids=["bool", "float", "str"])
 def test_non_integers_raise_value_error_at_every_entry_point(kind):
     for name, call, good in ENTRY_POINTS:

@@ -11,7 +11,7 @@ from clanhess import clans as clans_mod
 from clanhess import verify
 from clanhess.clans import Clan, enumerate_clans, inclusion_leq, interval_clans, statistics
 from clanhess.hessenberg import hess_orbit_report, hessenberg_vectors, orbit_in_hess
-from clanhess.poset import InclusionPoset, _key_columns, inclusion_poset, members
+from clanhess.poset import InclusionPoset, _below, _key_columns, inclusion_poset, members
 
 SHAPES_UP_TO_6 = [(n - q, q) for n in range(2, 7) for q in range(1, n // 2 + 1)]
 SHAPES_UP_TO_7 = [(n - q, q) for n in range(2, 8) for q in range(1, n // 2 + 1)]
@@ -229,12 +229,14 @@ def test_key_sum_strictly_decreases_up_the_order(p, q):
 @pytest.mark.parametrize("interval", [False, True])
 def test_layers_hold_one_bit_per_clan_by_key_sum(p, q, interval):
     """The layers, built from one bitmap per rank, against setting bit c in
-    the layer of rank(clans[c]) clan by clan, highest rank first."""
+    the layer of rank(clans[c]) clan by clan, highest rank first.  The rank
+    is the sum of the flipped key, so the highest rank has the least key sum."""
     poset = InclusionPoset(interval_clans(p, q) if interval else enumerate_clans(p, q))
+    key, _ = _key_columns(poset.clans, p + q, q)
     layers = {}
-    for c, row in enumerate(zip(*poset._columns)):
+    for c, row in enumerate(zip(*key)):
         layers[sum(row)] = layers.get(sum(row), 0) | 1 << c
-    assert poset._layers == [layers[rank] for rank in sorted(layers, reverse=True)]
+    assert poset._layers == [layers[total] for total in sorted(layers)]
 
 
 @pytest.mark.parametrize(
@@ -263,6 +265,64 @@ def test_down_of_is_the_stored_row(p, q):
     poset = InclusionPoset(enumerate_clans(p, q))
     got = [poset.down_of(j) for j in range(len(poset.clans))]
     assert got == list(poset.down)
+
+
+def rows_by_query(clans):
+    """The kernel that one mask per prefix length replaced: one query per
+    clan, ``_below`` at its flipped key bytes, over the threshold masks of
+    every key column read at every value."""
+    p, q, size = clans[0].p, clans[0].q, len(clans)
+    n = p + q
+    key, _ = _key_columns(clans, n, q)
+    columns = [col.translate(bytes(range(n, -1, -1)) + bytes(255 - n)) for col in key]
+    tables = [b"1" * (v + 1) + b"0" * (255 - v) for v in range(n + 1)]
+    masks = [[int(col[::-1].translate(table), 2) for table in tables] for col in columns]
+    return tuple(_below(masks, row, (1 << size) - 1) for row in zip(*columns))
+
+
+@pytest.mark.parametrize("p,q", SHAPES_UP_TO_8)
+def test_rows_match_the_row_by_row_query_in_any_order(p, q):
+    everything = list(enumerate_clans(p, q))
+    random.Random(p * 10 + q).shuffle(everything)
+    families = [everything, list(interval_clans(p, q)), list(reversed(interval_clans(p, q)))]
+    for family in families:
+        poset = InclusionPoset(family)
+        assert poset.down == rows_by_query(family)
+        assert [poset.down_of(j) for j in range(len(family))] == list(poset.down)
+
+
+def _values_by_prefix_length(clans, n):
+    """Per clan, entry d (0-indexed) is the tuple of key entries that its
+    first d + 1 symbols fix, by ``statistics``: the counts at position
+    d + 1 and the pair entries (i, d + 1), i <= d."""
+    out = []
+    for clan in clans:
+        st = statistics(clan)
+        out.append([
+            (st.plus_counts[d], st.minus_counts[d], *(st.pair_matrix[i][d] for i in range(d))) for d in range(n)
+        ])
+    return out
+
+
+@pytest.mark.parametrize("p,q", SHAPES_UP_TO_7)
+def test_one_column_per_prefix_length_holds_the_entries_that_prefix_fixes(p, q):
+    """Column k codes the key entries fixed by one prefix length d, each
+    distinct tuple of them once, and the prefix lengths that fix a
+    non-constant entry are kept in increasing order.  So two clans that
+    share their first d symbols share their code in column k, and there are
+    as many masks as distinct tuples."""
+    n, clans = p + q, enumerate_clans(p, q)
+    values = _values_by_prefix_length(clans, n)
+    kept = [d for d in range(n) if len({row[d] for row in values}) > 1]
+    poset = InclusionPoset(clans)
+    assert [len(masks) for masks in poset._masks] == [len({row[d] for row in values}) for d in kept]
+    for d, column in zip(kept, poset._columns):
+        assert len({(c.symbols[: d + 1], code) for c, code in zip(clans, column)}) == len(
+            {c.symbols[: d + 1] for c in clans}
+        )
+        # the code of a clan is the number of its tuple in order of first occurrence
+        first = list(dict.fromkeys(row[d] for row in values))
+        assert list(column) == [first.index(row[d]) for row in values]
 
 
 @pytest.mark.parametrize("j", [-1, 3, True, 1.0, "1", None])

@@ -39,6 +39,7 @@ from clanhess.perms import Permutation, parse_permutation, render_permutation  #
 from clanhess.poset import InclusionPoset  # noqa: E402
 from clanhess.schubert import IntPolynomial, SchubertExpansion, _normal, monk_product, product_oracle  # noqa: E402
 from clanhess.weak_order import _SWAP, covers_from, w_set  # noqa: E402
+from test_clans import clan_length_oracle  # noqa: E402
 from test_fast_path import assert_matches_validated_build  # noqa: E402
 from test_flag_oracle import least_vector_all_rows, least_vector_rank_oracle  # noqa: E402
 from test_integer_rule import Index  # noqa: E402
@@ -407,6 +408,13 @@ def test_clan_from_json_raises_only_value_error(data):
             clan_from_json(value)
         except ValueError:
             pass
+
+
+@FIXED
+@given(random_clans(24))
+@example(Clan([*range(1, 13), *range(1, 13)]))  # every pair of arcs crosses
+def test_clan_length_matches_the_arc_pair_oracle(clan):
+    assert clan_length(clan) == clan_length_oracle(clan)
 
 
 @FIXED

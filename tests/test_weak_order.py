@@ -27,6 +27,7 @@ from clanhess.weak_order import (
     MOVE_TYPES,
     LabeledCover,
     WeakOrderGraph,
+    _moves_by_target,
     build_graph,
     covers_from,
     factorization_bijection,
@@ -148,6 +149,22 @@ def test_covers_match_the_oracle(p, q):
         assert covers == covers_oracle(clan)
         # Clan equality reads only the symbols, so check the signature too
         assert all((cov.target.p, cov.target.q) == (p, q) for cov in covers)
+
+
+@pytest.mark.parametrize("p,q", SHAPES_UP_TO[7])
+def test_moves_by_target_are_the_covers_in_the_order_criterion_8_reads(p, q):
+    """Criterion 8 reads the grouped moves with no ``LabeledCover``, each
+    target by its index in ``enumerate_clans``: that order is the text
+    order of ``covers_from``, and the labels and move types are its own."""
+    clans = enumerate_clans(p, q)
+    index = {c.symbols: i for i, c in enumerate(clans)}
+    for clan in clans:
+        by_target = _moves_by_target(clan.symbols)
+        got = [
+            (clans[j], tuple(i for i, _ in moves), tuple(move for _, move in moves))
+            for j, moves in sorted(zip(map(index.__getitem__, by_target), by_target.values()))
+        ]
+        assert got == [(cov.target, cov.labels, cov.move_types) for cov in covers_from(clan)]
 
 
 @pytest.mark.parametrize("p,q", SHAPES_UP_TO[7])
