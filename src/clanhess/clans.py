@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import permutations
+from itertools import permutations, repeat
 from typing import NamedTuple
 
 from .perms import Permutation, _index, symmetric_group
@@ -190,7 +190,19 @@ def _check_degree(w: Permutation, p: int) -> tuple[int, int]:
 
 
 def enumerate_clans(p: int, q: int) -> tuple[Clan, ...]:
-    """All (p,q)-clans, in the text order of ``render_clan``.
+    """All (p,q)-clans, in the text order of ``render_clan``: one ``Clan``
+    per symbol tuple of ``_clan_words``.
+
+    >>> [str(c) for c in enumerate_clans(1, 1)]
+    ['+-', '-+', '11']
+    """
+    p, q = _check_shape(p, q)
+    # each word is canonical with signature (p, q): no validation needed
+    return tuple(map(_from_symbols, _clan_words(p, q), repeat(p), repeat(q)))
+
+
+def _clan_words(p: int, q: int) -> list[tuple]:
+    """The symbol tuples of all (p,q)-clans, in text order, for p >= q >= 1.
 
     A depth-first walk fills the positions from the left, trying at each
     ``+``, ``-``, the close of each open label from the smallest up, and
@@ -200,25 +212,19 @@ def enumerate_clans(p: int, q: int) -> tuple[Clan, ...]:
     emitted at once: when only closes are left, the walk would meet them in
     the order of ``itertools.permutations`` of the open labels, and when no
     label is open and one sign kind is left, in one leaf.  That halves the
-    calls (30,329 against 59,721 for the 20 shapes with p + q <= 9, which
-    take 22-26 ms against 25-27 ms).  Since '+' < '-' < '1' < ... < '9',
-    the walk meets the clans in text order while every label is one digit;
-    a label of 10 needs q >= 10, where clan_count(10, 10) is already
-    327,504,905,871.
-
-    >>> [str(c) for c in enumerate_clans(1, 1)]
-    ['+-', '-+', '11']
-    """
-    p, q = _check_shape(p, q)
-    found = []
+    calls (30,329 against 59,721 for the 20 shapes with p + q <= 9); each
+    clan costs at most n calls, so O(n) tuple steps, n = p + q.  Since
+    '+' < '-' < '1' < ... < '9', the walk meets the clans in text order
+    while every label is one digit; a label of 10 needs q >= 10, where
+    clan_count(10, 10) is already 327,504,905,871."""
+    found: list[tuple] = []
 
     def walk(word: tuple, pluses: int, minuses: int, opened: tuple[int, ...], labels: int) -> None:
-        # each word below is canonical with signature (p, q): no validation needed
         if not (pluses or minuses):
-            found.extend([_from_symbols(word + tail, p, q) for tail in permutations(opened)])
+            found.extend([word + tail for tail in permutations(opened)])
             return
         if not (opened or pluses and minuses):
-            found.append(_from_symbols(word + (PLUS,) * pluses + (MINUS,) * minuses, p, q))
+            found.append(word + (PLUS,) * pluses + (MINUS,) * minuses)
             return
         if pluses:
             walk(word + (PLUS,), pluses - 1, minuses, opened, labels)
@@ -231,7 +237,7 @@ def enumerate_clans(p: int, q: int) -> tuple[Clan, ...]:
             walk(word + (new,), pluses - 1, minuses - 1, opened + (new,), new)
 
     walk((), p, q, (), 0)
-    return tuple(found)
+    return found
 
 
 def clan_count(p: int, q: int) -> int:

@@ -303,6 +303,15 @@ def _from_key(key: tuple[int, ...]) -> Permutation:
     return w
 
 
+def _from_images(images: tuple[int, ...]) -> Permutation:
+    """``Permutation(images)`` without the validating constructor, for a tuple
+    of ints the caller knows to be a permutation of 1..len(images)."""
+    w = object.__new__(Permutation)
+    _set_images(w, images)
+    _set_key(w, trim_fixed_points(images))
+    return w
+
+
 def trim_fixed_points(images) -> tuple[int, ...]:
     """One-line notation with the trailing fixed points removed, the form
     in which equal permutations of different degrees coincide.
@@ -355,21 +364,30 @@ def phi(v: Permutation, n: int) -> Permutation:
 def factorization_pairs(w: Permutation) -> frozenset[tuple[Permutation, Permutation]]:
     """All pairs (u, v) with w = u*v and length(w) = length(u) + length(v).
 
-    Both factors range over the symmetric group of w's degree.
+    The first factors are the lower interval [e, w] of the right weak order,
+    walked down from w's one-line tuple by undoing right descents (a swap of
+    the entries at positions a, a+1 where w(a) > w(a+1)), and v = u^{-1} w.
+    Both factors have w's degree.  The walk makes O(q |[e, w]_R|) steps on
+    tuples of length q = deg(w).
 
     >>> sorted(len(p) for p in [factorization_pairs(Permutation((1, 2)))])
     [1]
     """
-    lw = w.length()
-    pairs = set()
-    for u in symmetric_group(w.degree):
-        lu = u.length()
-        if lu > lw:
-            continue
-        v = u.inverse() * w
-        if lu + v.length() == lw:
-            pairs.add((u, v))
-    return frozenset(pairs)
+    top = w.images
+    interval = {top}
+    stack = [top]
+    while stack:
+        x = stack.pop()
+        for a in range(1, len(x)):
+            if x[a - 1] > x[a]:
+                y = x[: a - 1] + (x[a], x[a - 1]) + x[a + 1 :]
+                if y not in interval:
+                    interval.add(y)
+                    stack.append(y)
+    # u^{-1}(k) is the position of k in u, read in the tuple (0,) + u
+    return frozenset(
+        (_from_images(u), _from_images(tuple(map(((0,) + u).index, top)))) for u in interval
+    )
 
 
 _WEAK_MODES = ("left", "right", "two-sided")

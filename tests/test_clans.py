@@ -8,6 +8,7 @@ from clanhess.clans import (
     MINUS,
     PLUS,
     Clan,
+    _clan_words,
     as_interval_permutation,
     clan_count,
     clan_from_json,
@@ -129,7 +130,7 @@ SHAPES_UP_TO_9 = [(n - q, q) for n in range(2, 10) for q in range(1, n // 2 + 1)
 @pytest.mark.parametrize("p, q", SHAPES_UP_TO_9)
 def test_enumeration_and_clan_length_match_the_replaced_kernels(p, q):
     clans = enumerate_clans(p, q)
-    assert [c.symbols for c in clans] == walk_oracle(p, q)
+    assert [c.symbols for c in clans] == walk_oracle(p, q) == _clan_words(p, q)
     assert all((c.p, c.q) == (p, q) for c in clans)
     assert list(map(clan_length, clans)) == list(map(clan_length_oracle, clans))
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front end (exit codes and output)."""
 
+import itertools
 import json
 import re
 
@@ -451,6 +452,67 @@ def _criterion_8_problems(monkeypatch):
     monkeypatch.setattr(verify, "_finish", lambda name, problems, detail, t0: found.extend(problems))
     verify.structural_checks()
     return found
+
+
+def test_criterion_8_counts_the_words_of_the_walk_at_p_plus_q_9(monkeypatch):
+    # the p + q = 9 shapes count the walk's words, building no Clan: a walk
+    # that drops one word at (5,4) fails the count there and nowhere else
+    real = verify._clan_words
+    monkeypatch.setattr(verify, "_clan_words", lambda p, q: real(p, q)[: -1 if (p, q) == (5, 4) else None])
+    result = verify.structural_checks()
+    assert not result.passed
+    assert result.detail == "(5,4): enumeration count != closed form"
+
+
+def divided_difference_relations_oracle(problems):
+    """The loop that ``verify._divided_difference_relations`` replaced: all
+    six relations computed afresh at each of the 462 exponent vectors."""
+    checked = 0
+    monomials = (
+        e for total in range(7) for e in itertools.product(range(total + 1), repeat=4) if sum(e) <= total
+    )
+    for exps in monomials:
+        poly = schubert.IntPolynomial.monomial(exps)
+        d = {i: poly.divided_difference(i) for i in range(1, 4)}
+        for i in range(1, 4):
+            checked += 1
+            if not d[i].divided_difference(i).is_zero:
+                problems.append(f"d_{i}^2 != 0 on x^{exps}")
+        for i in range(1, 3):
+            checked += 1
+            lhs = d[i].divided_difference(i + 1).divided_difference(i)
+            rhs = d[i + 1].divided_difference(i).divided_difference(i + 1)
+            if lhs != rhs:
+                problems.append(f"braid relation fails at i={i} on x^{exps}")
+        checked += 1
+        if d[1].divided_difference(3) != d[3].divided_difference(1):
+            problems.append(f"commutation fails on x^{exps}")
+    return checked
+
+
+def _relations(check):
+    problems = []
+    return check(problems), problems
+
+
+def test_divided_difference_relations_equal_the_per_vector_loop():
+    assert _relations(verify._divided_difference_relations) == _relations(divided_difference_relations_oracle)
+    assert _relations(verify._divided_difference_relations) == (2772, [])
+
+
+def test_divided_difference_failures_repeat_at_every_total_as_before(monkeypatch):
+    # d_1 of the constant 1 made 1, not 0: d_1^2 x_1 = 1 breaks nilpotence at
+    # x^(1, 0, 0, 0), a vector of each total 1..6, so its line comes back six
+    # times, between the lines of the other vectors, as the loop gave them
+    real = schubert.IntPolynomial.divided_difference
+    one = schubert.IntPolynomial.one()
+    monkeypatch.setattr(
+        schubert.IntPolynomial, "divided_difference", lambda f, i: one if (f, i) == (one, 1) else real(f, i)
+    )
+    checked, problems = _relations(verify._divided_difference_relations)
+    assert (checked, problems) == _relations(divided_difference_relations_oracle)
+    assert problems.count("d_1^2 != 0 on x^(1, 0, 0, 0)") == 6
+    assert len(problems) > len(set(problems))
 
 
 def test_criterion_8_names_each_hasse_cover_with_a_dimension_step_other_than_1(monkeypatch):

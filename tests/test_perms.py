@@ -383,6 +383,44 @@ def test_factorization_pairs_against_full_scan():
             assert set(factorization_pairs(w)) == expected
 
 
+def factorization_pairs_scan(w):
+    """The S_q scan that ``factorization_pairs`` replaced: every u of w's
+    degree with l(u) + l(u^{-1} w) = l(w), built through the validating
+    constructor."""
+    lw = w.length()
+    pairs = set()
+    for u in symmetric_group(w.degree):
+        lu = u.length()
+        if lu > lw:
+            continue
+        v = u.inverse() * w
+        if lu + v.length() == lw:
+            pairs.add((u, v))
+    return frozenset(pairs)
+
+
+def _with_images(pairs):
+    return sorted((u.images, u.key, v.images, v.key) for u, v in pairs)
+
+
+@pytest.mark.parametrize("q", range(6))
+def test_factorization_pairs_walk_equals_the_scan(q):
+    # the weak-order interval walk against the scan at every w of S_q, the
+    # degree 0 included, factors compared in full degree as well as by ==
+    for w in symmetric_group(q):
+        got, expected = factorization_pairs(w), factorization_pairs_scan(w)
+        assert got == expected
+        assert _with_images(got) == _with_images(expected)
+
+
+def test_factorization_pairs_of_an_untrimmed_w_keep_its_degree():
+    w = Permutation((2, 1, 3, 4))
+    got = factorization_pairs(w)
+    assert _with_images(got) == _with_images(factorization_pairs_scan(w))
+    assert {u.images for u, _ in got} == {(1, 2, 3, 4), (2, 1, 3, 4)}
+    assert all(len(v.images) == 4 for _, v in got)
+
+
 def test_factorization_pairs_examples():
     e = Permutation.identity(2)
     assert factorization_pairs(e) == frozenset({(e, e)})
