@@ -37,7 +37,6 @@ __all__ = [
     "dense_clan",
     "interval_clans",
     "as_interval_permutation",
-    "gamma_w_pair_statistic",
     "clan_to_json",
     "clan_from_json",
 ]
@@ -317,8 +316,8 @@ def clan_length(clan: Clan) -> int:
     Each such (s,t) crosses (i,j), and each crossing pair of arcs is
     counted once, so one pass takes j - i at each closing position j, less
     the arcs still open that opened after i, which the closing arc
-    crosses: 6-9 ms for every clan with p + q <= 8, against 12-13 ms
-    for the sum over pairs of arcs.
+    crosses: n steps, each close scanning the open labels, so O(n + l^2)
+    for l arcs.  README.md gives measured times.
 
     >>> clan_length(parse_clan("1122", 2, 2))
     2
@@ -340,7 +339,8 @@ def clan_length(clan: Clan) -> int:
 
 
 def orbit_dimension(clan: Clan) -> int:
-    """Dimension of the K-orbit indexed by the clan."""
+    """Dimension of the K-orbit indexed by the clan: Yamamoto's formula
+    (Represent. Theory 1, 1997), clan_length plus p(p-1)/2 + q(q-1)/2."""
     p, q = clan.p, clan.q
     return clan_length(clan) + p * (p - 1) // 2 + q * (q - 1) // 2
 
@@ -381,20 +381,6 @@ def as_interval_permutation(clan: Clan) -> Permutation | None:
     if sorted(tail) != list(range(1, q + 1)):
         return None
     return Permutation(tuple(tail))
-
-
-def gamma_w_pair_statistic(w: Permutation, p: int, i: int, j: int) -> int:
-    """Closed form |{k <= i : w^{-1}(k) > j - p}| for the pair statistic of
-    gamma_w in the window i in [q], j in {p+1, ..., p+q}.  An oracle: the
-    tests compare ``statistics(gamma_w(w, p))`` with it."""
-    q = w.degree
-    n = p + q
-    if not 1 <= i <= q:
-        raise ValueError(f"need i in [q] = [{q}], got {i}")
-    if not p + 1 <= j <= n:
-        raise ValueError(f"need j in [{p + 1},{n}], got {j}")
-    inv = w.inverse()
-    return sum(1 for k in range(1, i + 1) if inv(k) > j - p)
 
 
 def clan_to_json(clan: Clan) -> dict:

@@ -277,7 +277,7 @@ def _degree(n) -> int:
 
 def _indices(xs) -> tuple[int, ...] | None:
     """``_index`` of every entry of xs as a tuple, or None if xs is not iterable or one
-    entry fails: one pass in C, where a call per entry costs ~1 us per Hessenberg vector.
+    entry fails: one pass in C, with no Python call per entry.
     ``operator.index`` turns a bool into an int, so bools are refused by type."""
     try:
         entries = tuple(xs)

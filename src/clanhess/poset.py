@@ -33,18 +33,27 @@ number is the AND of the threshold masks at that tuple, so a query ANDs
 one mask per prefix length, in any order of the family.
 
 Bit c of every mask stands for ``clans[c]``.  The clans are grouped into
-rank layers by the sum of their flipped key.  The key is injective on one
-shape, so a < b implies sum(flipped(a)) < sum(flipped(b)): the sum is a
-strictly monotone rank, and no gradedness of the order is assumed.  Clans
-of equal rank are incomparable, so the highest layer that meets a set
-holds only maximal clans of it; ``top`` finds it by bisection over the
-running unions of the layers.  The down-sets, N^2/8 bytes for N clans,
-are built on the first read of ``down``; ``down_of`` makes one query
-without them.  ``covers()`` walks only the layers below each clan, and
-stops once the strict down-set is cleared.  At (5,5), 45,297 clans, the
-build takes 0.16-0.25 s, the first read of ``down`` 0.19-0.30 s (177 MB
-RSS), and ``covers()`` 1.5-2.7 s, peaking at 210 MB (2-core Xeon, Python
-3.11.7).
+rank layers by orbit dimension.  Every orbit is open in its closure, so
+the orbits in the boundary of a closure have smaller dimension
+(Humphreys, *Linear Algebraic Groups*, GTM 21, Sec. 8.3): a < b implies
+dim(a) < dim(b), the dimension is a strictly monotone rank, and no
+gradedness of the order is assumed.  The dimension is Yamamoto's clan
+length (Represent. Theory 1, 1997) plus a constant of the shape
+(``clans.orbit_dimension``), and ``_key_columns`` reads the length
+lane-wise, as one share per arc, with the key.  Clans of equal dimension
+are incomparable, so the highest layer that meets a set holds only
+maximal clans of it; ``top`` finds it by bisection over the running
+unions of the layers, of which there are at most pq + 1.
+
+Costs, for N clans: the build makes O(n^3) passes over columns of N
+bytes and one AND of N bits per key entry of each distinct prefix tuple;
+the codes take one dictionary step per clan and prefix length, and the
+layers one sum of n - 1 shares per clan; a query ANDs at most n masks of
+N bits.  The down-sets, N^2/8 bytes, are built on the first read of
+``down``, one query per clan; ``down_of`` makes one query without them.
+``covers()`` walks only the layers below each clan and stops once the
+strict down-set is cleared, which in an order graded by dimension is
+after the first of them.  README.md gives measured times.
 """
 
 from __future__ import annotations
@@ -136,19 +145,25 @@ def _lanes(column: bytes) -> int:
     return int.from_bytes(column, "little")
 
 
-def _key_columns(clans, n: int, q: int) -> tuple[list[bytes], list[bytes]]:
-    """The key columns and the arc-end columns of a family of (p,q)-clans,
-    n = p + q: byte c of each column is the entry of clans[c].  The key is
-    plus_counts || minus_counts || (q - pair_matrix[i][j] for i < j), the
-    arc ends r (see the module docstring); ``clans.statistics`` is the
-    reference.
+def _key_columns(clans, n: int, q: int) -> tuple[list[bytes], list[bytes], list[bytes]]:
+    """The key columns, the arc-end columns and the length-share columns of
+    a family of (p,q)-clans, n = p + q: byte c of each column is the entry
+    of clans[c].  The key is plus_counts || minus_counts || (q -
+    pair_matrix[i][j] for i < j), the arc ends r (see the module
+    docstring); ``clans.statistics`` is the reference.  Share column i - 1,
+    for the positions 1 <= i < n, holds b - i less the arcs (s, t) with
+    s < i < t < b where the clan has an arc (i, b), else 0, so a clan's
+    shares sum to its ``clans.clan_length``.
 
-    Every lane (byte c of an integer) stays <= n < 256, so no sum below
+    Every final lane (byte c of an integer) lies in 0..n < 256, and the
+    lanes of a difference are exact once each of them is, so no sum below
     carries from one lane into the next.
 
-    >>> key, ends = _key_columns([Clan("1+-1"), Clan("+-11")], 4, 2)
-    >>> [list(c) for c in zip(*key)], [list(c) for c in zip(*ends)]
-    ([[0, 1, 1, 2, 0, 0, 1, 2, 1, 1, 2, 1, 2, 2], [1, 1, 1, 2, 0, 1, 1, 2, 2, 2, 2, 2, 2, 2]], [[4, 0, 0, 0], [0, 0, 4, 0]])
+    >>> key, ends, shares = _key_columns([Clan("1+-1"), Clan("+-11"), Clan("1212")], 4, 2)
+    >>> [list(c) for c in zip(*key)]
+    [[0, 1, 1, 2, 0, 0, 1, 2, 1, 1, 2, 1, 2, 2], [1, 1, 1, 2, 0, 1, 1, 2, 2, 2, 2, 2, 2, 2], [0, 0, 1, 2, 0, 0, 1, 2, 1, 2, 2, 1, 2, 2]]
+    >>> [list(c) for c in zip(*ends)], [list(c) for c in zip(*shares)]
+    ([[4, 0, 0, 0], [0, 0, 4, 0], [3, 4, 0, 0]], [[3, 0, 0], [0, 0, 1], [2, 1, 0]])
     """
     size = len(clans)
     joined = bytes(map(_CODES.__getitem__, chain.from_iterable(map(attrgetter("symbols"), clans))))
@@ -179,11 +194,22 @@ def _key_columns(clans, n: int, q: int) -> tuple[list[bytes], list[bytes]]:
     ends_above = [bytes(j + 1) + b"\x01" * (n - j) + bytes(255 - n) for j in range(n + 1)]
     qs = _lanes(bytes([q]) * size)
     crossing = [0] * (n + 1)
+    shares = []
     for i in range(1, n):
+        column = ends_columns[i - 1]
+        # above[k] has a 1 in the lanes whose arc opens at i and ends past i + k
+        above = [_lanes(column.translate(ends_above[j])) for j in range(i, n + 1)]
+        # the share of an arc (i, b) is b - i less the arcs (s, t) with
+        # s < i < t < b, crossing[i] - crossing[b] before row i adds its own;
+        # lane by lane through the 0xff masks of the lanes that end at b
+        share = _lanes(column) - i * above[0] - (crossing[i] & above[0] * 255)
+        for b in range(i + 1, n + 1):
+            share += crossing[b] & (above[b - i - 1] - above[b - i]) * 255
+        shares.append(share.to_bytes(size, "little"))
         for j in range(i + 1, n + 1):
-            crossing[j] += _lanes(ends_columns[i - 1].translate(ends_above[j]))
+            crossing[j] += above[j - i]
             key.append((qs - crossing[j]).to_bytes(size, "little"))
-    return key, ends_columns
+    return key, ends_columns, shares
 
 
 class InclusionPoset:
@@ -193,7 +219,7 @@ class InclusionPoset:
     included: one query on the flipped key masks (see the module
     docstring), which ``down_of(j)`` makes alone.  All rows are built on
     the first read of ``down``; ``maximal`` and ``covers`` read them in rank
-    layers, the clans of equal key sum, and ``top`` reads neither.
+    layers, the clans of equal orbit dimension, and ``top`` reads neither.
 
     Raises ValueError for an empty family, for clans of more than one shape
     (p,q), for a clan that occurs twice, and for n = p + q > 252, where the
@@ -221,7 +247,10 @@ class InclusionPoset:
         if n > _MAX_N:
             raise ValueError(f"need n = p + q <= {_MAX_N}, got (p,q)=({p},{q})")
         self.full = (1 << len(self.clans)) - 1
-        key, ends = _key_columns(self.clans, n, q)
+        key, ends, shares = _key_columns(self.clans, n, q)
+        # the rank: each clan's length, its orbit dimension less a constant
+        lengths = list(map(sum, zip(*shares)))
+        del shares
         # x -> n - x makes the key order-preserving (see the module docstring);
         # a constant coordinate gives an all-ones mask at every query, and one
         # is kept only for a family of one clan, so that zip gives it a row;
@@ -240,7 +269,7 @@ class InclusionPoset:
         del key  # the flipped copy replaces it; both together raised the (5,5) peak RSS by 2.5 MB
         # one column and one mask list per prefix length (module docstring),
         # which ``_below`` reads as it would read the key columns
-        self._columns, self._masks, sums = [], [], []
+        self._columns, self._masks = [], []
         for depth in sorted(groups):
             cols = groups.pop(depth)
             # code[value] numbers each new value as it is first met
@@ -249,15 +278,12 @@ class InclusionPoset:
             self._columns.append(array("I", map(code.__getitem__, zip(*cols))))
             thresholds = _threshold_masks(cols, n)
             self._masks.append([_below(thresholds, value, self.full) for value in code])
-            sums.append([sum(value) for value in code])
         self._down = None
-        # the rank, the sum of the flipped key, sums each clan's tuple sums
-        ranks = list(map(sum, zip(*(map(s.__getitem__, col) for s, col in zip(sums, self._columns)))))
-        # one bitmap per rank, each filled bit by bit and read as an integer
+        # one bitmap per length, each filled bit by bit and read as an integer
         # once, so the layers cost linear time in the number of clans
-        bitmaps = {rank: bytearray((len(ranks) + 7) >> 3) for rank in set(ranks)}
-        for c, rank in enumerate(ranks):
-            bitmaps[rank][c >> 3] |= 1 << (c & 7)
+        bitmaps = {length: bytearray((len(lengths) + 7) >> 3) for length in set(lengths)}
+        for c, length in enumerate(lengths):
+            bitmaps[length][c >> 3] |= 1 << (c & 7)
         # the rank layers from the top of the order down, and their running unions
         self._layers = [int.from_bytes(bitmaps[rank], "little") for rank in sorted(bitmaps, reverse=True)]
         self._cum = list(accumulate(self._layers, or_))
@@ -286,8 +312,8 @@ class InclusionPoset:
         return _below(self._masks, [column[j] for column in self._columns], self.full)
 
     def top(self, mask: int) -> int:
-        """The clans of mask in the highest rank layer that meets it, each
-        maximal in mask, as a bitmask; 0 for the empty mask.
+        """The clans of mask of the highest orbit dimension among its clans,
+        each maximal in mask, as a bitmask; 0 for the empty mask.
 
         Precondition, checked: 0 <= mask <= full."""
         mask = self._check(mask)

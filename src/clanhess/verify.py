@@ -376,7 +376,7 @@ def oracle_checks(max_total: int = ORACLE_MAX_TOTAL, seed: int = 0) -> CheckResu
         clans = enumerate_clans(p, q)
         if not vectors or len(vectors[0]) != n:
             vectors = list(hessenberg_vectors(n))
-        _, ends = _key_columns(clans, n, q)
+        _, ends, _ = _key_columns(clans, n, q)
         for clan, r in zip(clans, zip(*ends)):
             h = tuple(accumulate(map(max, range(1, n + 1), r), max))
             least = least_hessenberg_vector(clan)

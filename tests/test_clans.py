@@ -17,7 +17,6 @@ from clanhess.clans import (
     dense_clan,
     enumerate_clans,
     gamma_w,
-    gamma_w_pair_statistic,
     inclusion_leq,
     interval_clans,
     orbit_dimension,
@@ -237,6 +236,19 @@ def test_interval_clans_share_statistics_with_dense_outside_window():
                 for j in range(i + 1, n + 1):
                     if not (i <= q and j > p):
                         assert st.pair_matrix[i - 1][j - 1] == base.pair_matrix[i - 1][j - 1]
+
+
+def gamma_w_pair_statistic(w, p, i, j):
+    """The named oracle of the pair statistic of gamma_w in its window i in
+    [q], j in {p+1, ..., p+q}: the closed form |{k <= i : w^{-1}(k) > j - p}|."""
+    q = w.degree
+    n = p + q
+    if not 1 <= i <= q:
+        raise ValueError(f"need i in [q] = [{q}], got {i}")
+    if not p + 1 <= j <= n:
+        raise ValueError(f"need j in [{p + 1},{n}], got {j}")
+    inv = w.inverse()
+    return sum(1 for k in range(1, i + 1) if inv(k) > j - p)
 
 
 def test_gamma_w_pair_statistic_closed_form():

@@ -320,11 +320,11 @@ def test_criterion_4_names_each_disagreeing_clan(monkeypatch):
     right = verify._key_columns
 
     def moved(clans, n, q):
-        key, ends = right(clans, n, q)
+        key, ends, shares = right(clans, n, q)
         if (n, q) == (4, 2):
             c = [str(clan) for clan in clans].index("1+-1")
             ends[0] = ends[0][:c] + bytes([3]) + ends[0][c + 1 :]
-        return key, ends
+        return key, ends, shares
 
     monkeypatch.setattr(verify, "_key_columns", moved)
     result = verify.oracle_checks(max_total=4)

@@ -16,6 +16,7 @@ from clanhess.poset import InclusionPoset, _below, _key_columns, inclusion_poset
 SHAPES_UP_TO_6 = [(n - q, q) for n in range(2, 7) for q in range(1, n // 2 + 1)]
 SHAPES_UP_TO_7 = [(n - q, q) for n in range(2, 8) for q in range(1, n // 2 + 1)]
 SHAPES_UP_TO_8 = [(n - q, q) for n in range(2, 9) for q in range(1, n // 2 + 1)]
+SHAPES_UP_TO_9 = [(n - q, q) for n in range(2, 10) for q in range(1, n // 2 + 1)]
 
 
 @pytest.fixture
@@ -129,17 +130,20 @@ def test_contained_reads_entries_through_operator_index():
 def test_keys_agree_with_statistics(p, q):
     n = p + q
     clans = enumerate_clans(p, q)
-    key, ends = _key_columns(clans, n, q)
+    key, ends, shares = _key_columns(clans, n, q)
     # byte c of every column belongs to clans[c]
-    assert {len(col) for col in key + ends} == {len(clans)}
-    for clan, got_key, got_ends in zip(clans, zip(*key), zip(*ends)):
+    assert {len(col) for col in key + ends + shares} == {len(clans)}
+    for clan, got_key, got_ends, got_shares in zip(clans, zip(*key), zip(*ends), zip(*shares)):
         st = statistics(clan)
         pairs = tuple(q - st.pair_matrix[i][j] for i in range(n) for j in range(i + 1, n))
-        want_ends = [0] * n
+        want_ends, want_shares = [0] * n, [0] * (n - 1)
         for i, j in clan.arcs:
             want_ends[i - 1] = j
+            # the arc's length less the arcs that open before it and close inside it
+            want_shares[i - 1] = j - i - sum(s < i < t < j for s, t in clan.arcs)
         assert got_key == st.plus_counts + st.minus_counts + pairs
         assert list(got_ends) == want_ends
+        assert list(got_shares) == want_shares
 
 
 def _assert_up_and_down_agree_with_inclusion_leq(poset):
@@ -216,27 +220,49 @@ def test_maximal_matches_its_definition(p, q, cached_statistics):
 
 @pytest.mark.parametrize("p,q", SHAPES_UP_TO_7)
 def test_key_sum_strictly_decreases_up_the_order(p, q):
-    """The rank layers of ``maximal`` rest on this: clans[i] < clans[j]
-    implies sum(key(clans[j])) < sum(key(clans[i]))."""
+    """The rank layers of ``maximal`` rest on the orbit dimension, which
+    rises strictly up the order: clans[i] < clans[j] implies dim(clans[i]) <
+    dim(clans[j]).  The key sum, the rank of ``key_sum_layers``, falls
+    strictly up the order."""
     poset = inclusion_poset(p, q)
-    key, _ = _key_columns(poset.clans, p + q, q)
-    ranks = [sum(row) for row in zip(*key)]
+    key, _, _ = _key_columns(poset.clans, p + q, q)
+    sums = [sum(row) for row in zip(*key)]
+    dims = list(map(clans_mod.orbit_dimension, poset.clans))
     for j, below in enumerate(poset.down):
-        assert all(ranks[i] > ranks[j] for i in members(below ^ 1 << j))
+        assert all(sums[i] > sums[j] and dims[i] < dims[j] for i in members(below ^ 1 << j))
 
 
 @pytest.mark.parametrize("p,q", SHAPES_UP_TO_8)
 @pytest.mark.parametrize("interval", [False, True])
 def test_layers_hold_one_bit_per_clan_by_key_sum(p, q, interval):
-    """The layers, built from one bitmap per rank, against setting bit c in
-    the layer of rank(clans[c]) clan by clan, highest rank first.  The rank
-    is the sum of the flipped key, so the highest rank has the least key sum."""
+    """The layers, built from one bitmap per orbit dimension, against
+    setting bit c in the layer of the dimension of clans[c] clan by clan,
+    highest dimension first."""
     poset = InclusionPoset(interval_clans(p, q) if interval else enumerate_clans(p, q))
-    key, _ = _key_columns(poset.clans, p + q, q)
     layers = {}
-    for c, row in enumerate(zip(*key)):
-        layers[sum(row)] = layers.get(sum(row), 0) | 1 << c
-    assert poset._layers == [layers[total] for total in sorted(layers)]
+    for c, clan in enumerate(poset.clans):
+        d = clans_mod.orbit_dimension(clan)
+        layers[d] = layers.get(d, 0) | 1 << c
+    assert poset._layers == [layers[d] for d in sorted(layers, reverse=True)]
+    assert poset._cum == list(itertools.accumulate(poset._layers, operator.or_))
+
+
+def _length_shares_agree_with_orbit_dimension(family):
+    p, q = family[0].p, family[0].q
+    *_, shares = _key_columns(family, p + q, q)
+    assert len(shares) == p + q - 1
+    base = p * (p - 1) // 2 + q * (q - 1) // 2
+    assert [sum(row) + base for row in zip(*shares)] == list(map(clans_mod.orbit_dimension, family))
+
+
+@pytest.mark.parametrize("p,q", SHAPES_UP_TO_9)
+def test_length_shares_sum_to_the_orbit_dimension(p, q):
+    """``clans.orbit_dimension`` is the oracle of the lane-wise lengths that
+    rank the layers, on all 20 shapes with p + q <= 9 and on the interval
+    families with p + q <= 8."""
+    _length_shares_agree_with_orbit_dimension(enumerate_clans(p, q))
+    if p + q <= 8:
+        _length_shares_agree_with_orbit_dimension(interval_clans(p, q))
 
 
 @pytest.mark.parametrize(
@@ -273,7 +299,7 @@ def rows_by_query(clans):
     every key column read at every value."""
     p, q, size = clans[0].p, clans[0].q, len(clans)
     n = p + q
-    key, _ = _key_columns(clans, n, q)
+    key, *_ = _key_columns(clans, n, q)
     columns = [col.translate(bytes(range(n, -1, -1)) + bytes(255 - n)) for col in key]
     tables = [b"1" * (v + 1) + b"0" * (255 - v) for v in range(n + 1)]
     masks = [[int(col[::-1].translate(table), 2) for table in tables] for col in columns]
@@ -457,16 +483,45 @@ def test_graded_order_names_each_failed_check(p, q, patch, shift, line):
 
 @pytest.mark.parametrize("p,q", SHAPES_UP_TO_7)
 def test_top_is_the_highest_layer_of_maximal(p, q):
+    """``top`` gives the clans of mask of the highest orbit dimension, each maximal in mask."""
     poset = inclusion_poset(p, q)
-    key, _ = _key_columns(poset.clans, p + q, q)
-    ranks = [sum(row) for row in zip(*key)]  # falls up the order
+    dims = list(map(clans_mod.orbit_dimension, poset.clans))
     rng = random.Random(p * 10 + q)
     masks = [poset.contained(m) for m in hessenberg_vectors(p + q)]
     masks += [0] + [rng.getrandbits(len(poset.clans)) for _ in range(50)]
     for mask in masks:
-        highest = min((ranks[i] for i in members(mask)), default=None)
-        want = [i for i in poset.maximal(mask) if ranks[i] == highest]
-        assert members(poset.top(mask)) == want == [i for i in members(mask) if ranks[i] == highest]
+        highest = max((dims[i] for i in members(mask)), default=None)
+        want = [i for i in poset.maximal(mask) if dims[i] == highest]
+        assert members(poset.top(mask)) == want == [i for i in members(mask) if dims[i] == highest]
+
+
+def key_sum_layers(poset):
+    """The rank layers that the orbit dimension replaced: the clans of equal
+    key sum, least key sum (top of the order) first."""
+    p, q = poset.clans[0].p, poset.clans[0].q
+    key, *_ = _key_columns(poset.clans, p + q, q)
+    layers = {}
+    for c, row in enumerate(zip(*key)):
+        layers[sum(row)] = layers.get(sum(row), 0) | 1 << c
+    return [layers[total] for total in sorted(layers)]
+
+
+@pytest.mark.parametrize("p,q", SHAPES_UP_TO_8)
+def test_maximal_and_covers_equal_the_key_sum_kernels(p, q):
+    """Dimension layers change how far the walks go, not what they return:
+    ``maximal`` at every Hessenberg vector and ``covers`` equal the same
+    walks over the key-sum layers (49 of them at (5,3), against 16
+    dimensions)."""
+    poset = inclusion_poset(p, q)
+    by_key_sum = InclusionPoset(poset.clans)
+    by_key_sum._down = poset.down
+    by_key_sum._layers = key_sum_layers(poset)
+    for m in hessenberg_vectors(p + q):
+        mask = poset.contained(m)
+        assert poset.maximal(mask) == by_key_sum.maximal(mask), m
+    assert poset.covers() == by_key_sum.covers()
+    if (p, q) == (5, 3):
+        assert (len(by_key_sum._layers), len(poset._layers)) == (49, 16)
 
 
 def test_criterion_2_reads_no_row_and_no_maximal(monkeypatch):

@@ -36,7 +36,7 @@ from clanhess.flag_oracle import (  # noqa: E402
 )
 from clanhess.hessenberg import catalan, hessenberg_vectors, is_hessenberg_vector  # noqa: E402
 from clanhess.perms import Permutation, parse_permutation, render_permutation  # noqa: E402
-from clanhess.poset import InclusionPoset  # noqa: E402
+from clanhess.poset import InclusionPoset, _key_columns, members  # noqa: E402
 from clanhess.schubert import IntPolynomial, SchubertExpansion, _normal, monk_product, product_oracle  # noqa: E402
 from clanhess.weak_order import _SWAP, covers_from, w_set  # noqa: E402
 from test_clans import clan_length_oracle  # noqa: E402
@@ -463,6 +463,23 @@ def test_maximal_and_covers_match_their_definitions(family_and_mask):
         if less[i][j] and not any(less[i][k] and less[k][j] for k in range(size))
     ]
     assert poset.covers() == covers
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(families_and_masks(8))
+def test_length_shares_and_top_follow_the_orbit_dimension(family_and_mask):
+    """The lane-wise length shares sum to ``orbit_dimension`` less its
+    constant, on families in any order; ``top`` gives the mask's clans of the
+    highest dimension, each maximal in it."""
+    family, mask = family_and_mask
+    p, q = family[0].p, family[0].q
+    *_, shares = _key_columns(family, p + q, q)
+    dims = list(map(orbit_dimension, family))
+    assert [sum(row) + p * (p - 1) // 2 + q * (q - 1) // 2 for row in zip(*shares)] == dims
+    poset = InclusionPoset(family)
+    highest = max((dims[i] for i in members(mask)), default=None)
+    want = [i for i in members(mask) if dims[i] == highest]
+    assert members(poset.top(mask)) == want and set(want) <= set(poset.maximal(mask))
 
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
