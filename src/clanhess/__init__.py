@@ -5,7 +5,8 @@ Hessenberg varieties.
 
 ``import clanhess`` loads no submodule: the first use of a public name
 imports the submodule that defines it (PEP 562), so a process pays only for
-what it uses.  ``clanhess.cli`` imports every submodule.
+what it uses.  ``clanhess.cli`` imports every submodule except ``verify``,
+which loads with the verify command.
 """
 
 from importlib import import_module

@@ -34,7 +34,7 @@ import argparse
 import json
 import sys
 
-from . import verify as verify_mod
+from . import flag_oracle  # noqa: F401  (perfbench/tracer.py reads it from sys.modules)
 from .clans import (
     Clan,
     _check_shape,
@@ -55,7 +55,22 @@ from .weak_order import build_graph, factorization_bijection, graph_to_dot, grap
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on bad usage; the contract wants 1."""
+    """argparse exits with status 2 on bad usage; the contract wants 1.
+
+    A command's ``setup(parser)`` adds its arguments at the start of the
+    first parse that reaches it, so a process builds only its own command's
+    arguments (argparse hands a chosen subcommand the rest of the line
+    through its ``parse_known_args``)."""
+
+    def __init__(self, *args, setup=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._setup = setup
+
+    def parse_known_args(self, args=None, namespace=None):
+        setup, self._setup = self._setup, None
+        if setup is not None:
+            setup(self)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
@@ -277,6 +292,8 @@ def _cmd_scan(args) -> tuple[int, list[str]]:
 
 
 def _cmd_verify(args) -> tuple[int, list[str]]:
+    from . import verify as verify_mod
+
     if args.max_n is not None:
         verify_mod.check_max_total(args.max_n, "--max-n")
     options = (("--max-n", "max_total", args.max_n), ("--seed", "seed", args.seed))
@@ -304,6 +321,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="clanhess", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(subparsers, name, help):
+        """Register a command; the decorated function adds its arguments (_Parser)."""
+        return lambda setup: subparsers.add_parser(name, help=help, setup=setup)
+
     def common(sp, formats=("text", "json"), shape=True):
         sp.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
         if formats:
@@ -315,65 +336,80 @@ def _build_parser() -> _Parser:
 
     clans = sub.add_parser("clans", help="enumerate clans or print statistics")
     clans_sub = clans.add_subparsers(dest="clans_command", required=True)
-    en = clans_sub.add_parser("enumerate", help="all clans of shape (p, q)")
-    common(en)
-    stats = clans_sub.add_parser("stats", help="invariants of one clan")
-    stats.add_argument("clan", help="clan string, e.g. +1+-2+21")
-    common(stats)
+    clans_sub.add_parser("enumerate", help="all clans of shape (p, q)", setup=common)
 
-    poset = sub.add_parser("poset", help="inclusion or weak order as DOT/JSON")
-    poset.add_argument("order", choices=("inclusion", "weak"))
-    poset.add_argument("--interval", action="store_true", help="restrict to interval clans")
-    common(poset, formats=("dot", "json"))
+    @command(clans_sub, "stats", "invariants of one clan")
+    def _(stats):
+        stats.add_argument("clan", help="clan string, e.g. +1+-2+21")
+        common(stats)
 
-    wset = sub.add_parser("wset", help="W-set of a clan (or gamma_w)")
-    wset.add_argument("clan", help="clan string, or one-line w of length q")
-    common(wset)
+    @command(sub, "poset", "inclusion or weak order as DOT/JSON")
+    def _(poset):
+        poset.add_argument("order", choices=("inclusion", "weak"))
+        poset.add_argument("--interval", action="store_true", help="restrict to interval clans")
+        common(poset, formats=("dot", "json"))
 
-    bij = sub.add_parser("wset-bijection", help="W-set via length-additive factorizations")
-    bij.add_argument("w", help="one-line permutation, e.g. 213 or [2,1,3]")
-    common(bij, shape=False)
+    @command(sub, "wset", "W-set of a clan (or gamma_w)")
+    def _(wset):
+        wset.add_argument("clan", help="clan string, or one-line w of length q")
+        common(wset)
 
-    cls = sub.add_parser("class", help="cohomology class of an orbit closure")
-    cls.add_argument("clan", help="clan string, or one-line w of length q")
-    common(cls)
+    @command(sub, "wset-bijection", "W-set via length-additive factorizations")
+    def _(bij):
+        bij.add_argument("w", help="one-line permutation, e.g. 213 or [2,1,3]")
+        common(bij, shape=False)
+
+    @command(sub, "class", "cohomology class of an orbit closure")
+    def _(cls):
+        cls.add_argument("clan", help="clan string, or one-line w of length q")
+        common(cls)
 
     hess = sub.add_parser("hess", help="Hessenberg classification commands")
     hess_sub = hess.add_subparsers(dest="hess_command", required=True)
-    cl = hess_sub.add_parser("classify", help="all irreducible vectors m(w)")
-    common(cl)
-    rp = hess_sub.add_parser("report", help="orbit decomposition of one vector")
-    rp.add_argument("m", help="Hessenberg vector, e.g. 1,3,4,4 or 1344")
-    common(rp)
-    dm = hess_sub.add_parser("dim", help="dimension of the variety of m(w)")
-    dm.add_argument("w", help="231-avoiding one-line permutation")
-    common(dm, formats=(), shape=False)
+    hess_sub.add_parser("classify", help="all irreducible vectors m(w)", setup=common)
 
-    monk = sub.add_parser("monk", help="divisor product S_{s_m} * class")
-    monk.add_argument("m", type=int, help="divisor index, 1 <= m < n")
-    monk.add_argument("clan", help="clan string, or one-line w of length q")
-    monk.add_argument("--stable", action="store_true", help="no truncation to S_n")
-    common(monk)
+    @command(hess_sub, "report", "orbit decomposition of one vector")
+    def _(rp):
+        rp.add_argument("m", help="Hessenberg vector, e.g. 1,3,4,4 or 1344")
+        common(rp)
+
+    @command(hess_sub, "dim", "dimension of the variety of m(w)")
+    def _(dm):
+        dm.add_argument("w", help="231-avoiding one-line permutation")
+        common(dm, formats=(), shape=False)
+
+    @command(sub, "monk", "divisor product S_{s_m} * class")
+    def _(monk):
+        monk.add_argument("m", type=int, help="divisor index, 1 <= m < n")
+        monk.add_argument("clan", help="clan string, or one-line w of length q")
+        monk.add_argument("--stable", action="store_true", help="no truncation to S_n")
+        common(monk)
 
     scan = sub.add_parser("scan", help="exploratory scans")
     scan_sub = scan.add_subparsers(dest="scan_command", required=True)
-    mf = scan_sub.add_parser("multfree", help="search divisor products for multiplicity >= 2")
-    mf.add_argument(
-        "--max-m", type=int, default=None, help="largest divisor index to try, 1 <= m < p + q (default: p + q - 1)"
-    )
-    common(mf, formats=())
 
-    ver = sub.add_parser("verify", help="run verification criteria")
-    ver.add_argument("target", choices=("all", *(row[1] for row in verify_mod.CRITERIA if row[1])))
-    ver.add_argument(
-        "--max-n",
-        type=int,
-        default=None,
-        help=f"largest p + q for exhaustive scans, at least 2 (default: {verify_mod.CLASSIFICATION_MAX_TOTAL} "
-        f"for the classification, {verify_mod.ORACLE_MAX_TOTAL} for the geometric oracle)",
-    )
-    ver.add_argument("--seed", type=int, default=None, help="seed for randomized spot checks (default: 0)")
-    ver.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
+    @command(scan_sub, "multfree", "search divisor products for multiplicity >= 2")
+    def _(mf):
+        mf.add_argument(
+            "--max-m", type=int, default=None, help="largest divisor index to try, 1 <= m < p + q (default: p + q - 1)"
+        )
+        common(mf, formats=())
+
+    @command(sub, "verify", "run verification criteria")
+    def _(ver):
+        from . import verify as verify_mod  # only the verify command compiles verify.py
+
+        ver.add_argument("target", choices=("all", *(row[1] for row in verify_mod.CRITERIA if row[1])))
+        ver.add_argument(
+            "--max-n",
+            type=int,
+            default=None,
+            help=f"largest p + q for exhaustive scans, at least 2 (default: {verify_mod.CLASSIFICATION_MAX_TOTAL} "
+            f"for the classification, {verify_mod.ORACLE_MAX_TOTAL} for the geometric oracle)",
+        )
+        ver.add_argument("--seed", type=int, default=None, help="seed for randomized spot checks (default: 0)")
+        ver.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
+
     return parser
 
 

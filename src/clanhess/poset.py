@@ -266,7 +266,7 @@ class InclusionPoset:
                 groups.setdefault(depth, []).append(col.translate(flip))
         if not groups:
             groups[1] = key[:1]
-        del key  # the flipped copy replaces it; both together raised the (5,5) peak RSS by 2.5 MB
+        del key  # the flipped copy replaces it; keeping both would raise the peak RSS
         # one column and one mask list per prefix length (module docstring),
         # which ``_below`` reads as it would read the key columns
         self._columns, self._masks = [], []

@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line front end (exit codes and output)."""
 
+import hashlib
 import itertools
 import json
 import re
+import sys
 
 import pytest
 
@@ -794,3 +796,84 @@ def test_verify_help_shows_the_check_defaults(capsys, monkeypatch):
         assert exc.value.code == 0
         text = " ".join(capsys.readouterr().out.split())
         assert f"default: {classification} for the classification, {oracle} for the geometric oracle)" in text
+
+
+# Each command adds its arguments only when a parse reaches it.  The sha256 of
+# each --help text, at 80 columns, as the parser that built every command's
+# arguments up front printed it (CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0;
+# from 3.13 argparse keeps the top-level usage's "..." on its choices' line).
+_HELP_SHA256 = {
+    "": "1dac50301a14054f4344824257259b7b70e2f7da9e0a6eda25d3165ad9f2fd23"
+    if sys.version_info >= (3, 13)
+    else "4988094c50845d83d3ca6c8cf37d05d4126519b83f857a51ca7a2d65915de5ba",
+    "clans": "11aa2ea04e27f80c95840a7daf1964cf1721b785b857a6e8177826b77b88e912",
+    "clans enumerate": "f6755d96567bfec175d233803e2088f8004d18f0082e1a6fd9b8822fa36717a1",
+    "clans stats": "6437f6f2b0616f14c8d445f3c78e9e9e8d2167e370d116e1e118bb33eb84b661",
+    "poset": "604e83dfa8c54809b75abf96315e5c7450255992e632e39ce88662c42a038b0d",
+    "wset": "970820639524bf9a1472053e41693a9dd6a0464e39091ce327f0d27a95f7bfb3",
+    "wset-bijection": "b072a72f9e2d69e6f3d4f59cad3a9b705cd33ab0558aea1f1981273b1c0647dc",
+    "class": "e468de7c596cf9a131b6bc0a2b7580805808cfecd0c46ef1009a5a3588af1b0e",
+    "hess": "9f8197383f335ae82a427d47ab5ee1f760c57f069b4e1a094f921df52ad9c7ae",
+    "hess classify": "4c01e78d3ec952aadc02db7bc86a4bcd49e82b188313f259400c81a27e8d7201",
+    "hess report": "ef9bf03d7011ef3d2afebe356532d420ed47ba1ebd8d678da6b0cfef1b6fd0e9",
+    "hess dim": "2bf0d2f48a2ba4150e89fcd40aa68d0ca3e7f2dcf3a62f621e9da4938517945a",
+    "monk": "c5fbc35826f2610d6c3c0e481a8f2d09ca14e53730787df31ef6da3d572db246",
+    "scan": "b677a82041934404dde0929a72f0122e0256d3bbea7a988716329fd6af1ce5d0",
+    "scan multfree": "76e283273c0598a291911d23ea4c0952ba89788a9303358c0325c113a49836dc",
+    "verify": "8320c38c0480e7cd57a2d856d26bd15488a86ed76608b502db044048e09bc209",
+}
+
+_TOP_USAGE = "usage: clanhess [-h]\n                {clans,poset,wset,wset-bijection,class,hess,monk,scan,verify}" + (
+    " ...\n" if sys.version_info >= (3, 13) else "\n                ...\n"
+)
+_VERIFY_USAGE = (
+    "usage: clanhess verify [-h] [--max-n MAX_N] [--seed SEED] [--out FILE]\n"
+    "                       {all,irreducible,oracle,wsets,monk}\n"
+)
+_COMMANDS = "'clans', 'poset', 'wset', 'wset-bijection', 'class', 'hess', 'monk', 'scan', 'verify'"
+
+
+@pytest.mark.parametrize("path", sorted(_HELP_SHA256))
+def test_help_keeps_its_bytes(path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*path.split(), "--help"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _HELP_SHA256[path]
+
+
+@pytest.mark.parametrize(
+    "argv,stderr",
+    [
+        ([], _TOP_USAGE + "clanhess: error: the following arguments are required: command\n"),
+        (
+            ["clans"],
+            "usage: clanhess clans [-h] {enumerate,stats} ...\n"
+            "clanhess clans: error: the following arguments are required: clans_command\n",
+        ),
+        (["verify"], _VERIFY_USAGE + "clanhess verify: error: the following arguments are required: target\n"),
+        (
+            ["verify", "bogus"],
+            _VERIFY_USAGE + "clanhess verify: error: argument target: invalid choice: 'bogus' "
+            "(choose from 'all', 'irreducible', 'oracle', 'wsets', 'monk')\n",
+        ),
+        (
+            ["ver", "all"],
+            _TOP_USAGE + f"clanhess: error: argument command: invalid choice: 'ver' (choose from {_COMMANDS})\n",
+        ),
+    ],
+)
+def test_usage_errors_keep_their_text(argv, stderr, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert capsys.readouterr() == ("", stderr)
+
+
+def test_option_abbreviations_resolve(capsys):
+    status, lines = run(capsys, "verify", "all", "--max", "4")
+    assert status == 0 and "4 shapes," in lines[1]
+    status, lines = run(capsys, "clans", "stats", "--form", "json", "+1+-2+21")
+    assert status == 0 and json.loads(lines[0])["dimension"] == 21

@@ -2,6 +2,7 @@
 record types.  Each import check runs in a fresh interpreter, since this
 test process has loaded every submodule long before."""
 
+import ast
 import json
 import os
 import subprocess
@@ -33,8 +34,25 @@ PUBLIC = {
     "symmetric_group", "w_set", "w_set_via_bijection", "weak_order_leq",
 }
 
-# the submodules perfbench/tracer.py reads from sys.modules after importing clanhess.cli
-TRACED = ("clans", "perms", "poset", "hessenberg", "weak_order", "schubert", "flag_oracle", "verify")
+
+
+def _traced_modules() -> set[str]:
+    """The submodules that perfbench/tracer.py reads from sys.modules after
+    importing clanhess.cli: those its TIMED and CACHED tables name, read from
+    its source, plus perms and poset, which they import."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "tracer.py"), encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in ("TIMED", "CACHED")
+    }
+    assert sorted(tables) == ["CACHED", "TIMED"] and all(tables.values())
+    return {row[0] for rows in tables.values() for row in rows} | {"perms", "poset"}
+
+
+TRACED = _traced_modules()
 
 PRELUDE = """\
 import json, sys
@@ -81,7 +99,7 @@ print(json.dumps([sorted(set(globals()) - before - {"before"}), clanhess.__all__
 
 def test_dir_lists_every_public_name_and_submodule():
     listed = set(_run("import clanhess; print(json.dumps(dir(clanhess)))"))
-    assert PUBLIC | set(TRACED) | {"cli"} <= listed
+    assert PUBLIC | TRACED | {"cli", "verify"} <= listed
 
 
 def test_a_submodule_resolves_without_an_import():
@@ -104,13 +122,29 @@ def test_an_unknown_name_raises_attribute_error():
 
 
 def test_cli_loads_every_traced_module_and_no_dataclasses():
+    # verify loads only with the verify command, and the tracer reads no verify name
     code = """\
 import clanhess.cli
 print(json.dumps([loaded(), [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
 """
     modules, unwanted = _run(code, "-S")
     assert set(modules) >= {f"clanhess.{name}" for name in TRACED}
+    assert "clanhess.verify" not in modules
     assert unwanted == []
+
+
+def test_the_verify_command_loads_verify():
+    code = """\
+import contextlib, io
+from clanhess.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        main(["verify", "--help"])
+    except SystemExit as exc:
+        status = exc.code
+print(json.dumps([status, "clanhess.verify" in loaded()]))
+"""
+    assert _run(code, "-S") == [0, True]
 
 
 @pytest.mark.parametrize(
